@@ -8,9 +8,12 @@ with the weight of the cheapest initial-to-final path extending it:
 
     percentage = 100 * matched_weight / weight_to_nearest_final
 
-Self-loop traversals consume input but add no weight on either side of
-the ratio, so a behavior repeated eight times scores the same as one
-repeated twice. Percentages are exact rationals end to end; decimal
+The model is a trie, so the walk's edges are the unique path to its end
+state and the denominator is a lookup: the model derives once, per
+state, the weight from the initial state and the cost of the cheapest
+final ahead. Self-loop traversals consume input but add no weight on
+either side of the ratio, so a behavior repeated eight times scores the
+same as one repeated twice. Percentages are exact rationals end to end; decimal
 strings appear only at the output boundary.
 """
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,12 +85,12 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     Single-behavior steps follow the one defined transition if any. For a
     multi-behavior step, the matching behavior with the largest transition
     weight wins, ties broken by smallest behavior id. Self-loops are taken
-    without being recorded; matched_transitions holds only the distinct
-    forward path edges, in traversal order.
+    without being recorded; matched_transitions holds the forward path
+    edges in traversal order. None repeats, since forward edges always
+    lead to a higher state id.
     """
     state = dfa.initial
     matched: list[Transition] = []
-    taken: set[Transition] = set()
     weight = 0
     consumed = 0
     diverged = False
@@ -101,8 +103,7 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
             diverged = True
             break
         consumed += 1
-        if not transition.is_self_loop and transition not in taken:
-            taken.add(transition)
+        if not transition.is_self_loop:
             matched.append(transition)
             weight += transition.weight
         state = transition.target
@@ -131,50 +132,29 @@ def _choose_transition(dfa, state, behaviors):
 def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     """Find the final state ahead of `from_state` with minimum path weight.
 
-    Uniform-cost search over forward transitions; self-loops only add cost
-    and are never taken. Ties between equally cheap finals go to the
-    smallest state id. The returned denominator covers the whole
-    initial-to-final path, each transition counted once.
+    A lookup in the model's per-state tables, which hold for every state
+    the cost of its cheapest final ahead and the first forward transition
+    toward it; self-loops only add cost and are never taken. Ties between
+    equally cheap finals go to the smallest state id. The returned
+    denominator covers the whole initial-to-final path: the weight from
+    the initial state to `from_state` plus the forward cost.
+    Raises NoFinalReachableError when no final is ahead.
     """
     if not 0 <= from_state < dfa.state_count:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
-    dist: dict[int, int] = {from_state: 0}
-    pred: dict[int, Transition] = {}
-    heap: list[tuple[int, int]] = [(0, from_state)]
-    settled: set[int] = set()
-    while heap:
-        d, state = heapq.heappop(heap)
-        if state in settled:
-            continue
-        settled.add(state)
-        for t in dfa.out_edges(state):
-            if t.is_self_loop:
-                continue
-            nd = d + t.weight
-            if t.target not in dist or nd < dist[t.target]:
-                dist[t.target] = nd
-                pred[t.target] = t
-                heapq.heappush(heap, (nd, t.target))
-    reachable_finals = [f for f in dfa.finals if f in dist]
-    if not reachable_finals:
+    _, prefix, nearest = dfa._tables
+    if nearest[from_state] is None:
         raise NoFinalReachableError(f"no final state is reachable from state {from_state}")
-    best = min(reachable_finals, key=lambda f: (dist[f], f))
-
+    cost, final, t = nearest[from_state]
     forward: list[Transition] = []
-    state = best
-    while state != from_state:
-        t = pred[state]
+    while t is not None:
         forward.append(t)
-        state = t.source
-    forward.reverse()
-
-    denominator_path = dfa.path_from_initial(from_state) + tuple(forward)
-    denominator_weight = sum(t.weight for t in dict.fromkeys(denominator_path))
+        t = nearest[t.target][2]
     return NearestFinal(
-        final_state=best,
+        final_state=final,
         forward_path=tuple(forward),
-        denominator_path=denominator_path,
-        denominator_weight=denominator_weight,
+        denominator_path=dfa.path_from_initial(from_state) + tuple(forward),
+        denominator_weight=prefix[from_state] + cost,
     )
 
 
@@ -242,8 +222,11 @@ def classify_stream(
 ) -> Iterator[Union[Classification, RecordError]]:
     """Classify a stream of parsed traces, passing record errors through.
 
-    Lazy: each item is classified as it arrives, so memory stays at one
-    trace regardless of batch size. Output order equals input order.
+    Lazy: each item is classified as it arrives and none is kept, so
+    classification holds one trace at a time. The parse_traces and
+    scan_traces readers do keep the set of every trace id seen, to reject
+    duplicates, so a whole batch costs O(distinct ids) memory. Output
+    order equals input order.
     """
     for item in items:
         if isinstance(item, RecordError):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
-from .dfa import add_pattern, build_dfa, deserialize, export_dot, serialize
+from .dfa import add_pattern, build_dfa, check_catalog, deserialize, export_dot, serialize
 from .errors import EngineError, InternalInvariantError, PatternError
 from .ingest import parse_traces, scan_traces
 
@@ -64,13 +64,13 @@ def _build_parser() -> _Parser:
     classify.add_argument("--out", help="report output path (default: stdout)")
     classify.add_argument(
         "--catalog",
-        help="optional catalog file; when given, trace behavior ids are validated against it",
+        help="optional: the model's catalog; when given, trace ids are validated against it",
     )
 
     export = sub.add_parser("export-dot", help="render a model as Graphviz DOT")
     export.add_argument("--model", required=True, help="model file")
     export.add_argument("--out", help="DOT output path (default: stdout)")
-    export.add_argument("--catalog", help="catalog file for edge names (default: built-in)")
+    export.add_argument("--catalog", help="the model's catalog, for edge names (default: built-in)")
     return parser
 
 
@@ -191,7 +191,10 @@ def _cmd_add(args) -> int:
 def _cmd_classify(args) -> int:
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
-    catalog = None if args.catalog is None else _load_catalog_arg(args.catalog)
+    catalog = None
+    if args.catalog is not None:
+        catalog = _load_catalog_arg(args.catalog)
+        check_catalog(dfa, catalog)
     summary = BatchSummary()
 
     def render(out):
@@ -217,6 +220,8 @@ def _cmd_export_dot(args) -> int:
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
     catalog = _load_catalog_arg(args.catalog)
+    if args.catalog is not None:
+        check_catalog(dfa, catalog)
     _emit(export_dot(dfa, catalog).encode("utf-8"), args.out)
     return 0
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Union
 
 from .catalog import BehaviorCatalog
@@ -60,7 +61,9 @@ class BehaviorDfa:
 
     State 0 is always the initial state. Transitions are kept sorted by
     (source, behavior) so equality, serialization and DOT export are
-    reproducible.
+    reproducible. Lookups rely on the trie shape that validate() checks:
+    forward transitions go to higher state ids, and every state but the
+    initial one has exactly one incoming forward transition.
     """
 
     state_count: int
@@ -69,37 +72,40 @@ class BehaviorDfa:
     catalog_fingerprint: str
     pattern_count: int
     _by_key: dict = field(init=False, repr=False, compare=False, default=None)
-    _out: dict = field(init=False, repr=False, compare=False, default=None)
-    _parent: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.transitions, key=lambda t: (t.source, t.behavior)))
         object.__setattr__(self, "transitions", ordered)
         object.__setattr__(self, "finals", frozenset(self.finals))
-        by_key: dict[tuple[int, int], Transition] = {}
-        out: dict[int, list[Transition]] = {}
-        for t in ordered:
-            by_key[(t.source, t.behavior)] = t
-            out.setdefault(t.source, []).append(t)
-        # Breadth-first parent edges from the initial state, self-loops
-        # skipped: in a trie every state has exactly one incoming edge, so
-        # this recovers the unique initial-to-state path.
-        parent: dict[int, Transition] = {}
-        frontier = [0]
-        seen = {0}
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for t in out.get(s, ()):
-                    if t.is_self_loop or t.target in seen:
-                        continue
-                    seen.add(t.target)
-                    parent[t.target] = t
-                    nxt.append(t.target)
-            frontier = nxt
-        object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_by_key", {(t.source, t.behavior): t for t in ordered})
+
+    @cached_property
+    def _tables(self) -> tuple[list, list, list]:
+        """Per-state (parent, prefix, nearest), indexed by state id.
+
+        parent is the forward transition into the state (None for state 0),
+        prefix the weight from the initial state, and nearest the cheapest
+        final at or ahead of the state as (cost, final, first forward
+        transition toward it, None at a final), ties to the lowest final id,
+        or None when no final is ahead. Built on first use, so build and
+        add, which make one model per pattern, never pay for it.
+        """
+        n = self.state_count
+        forward = [t for t in self.transitions if not t.is_self_loop]
+        parent: list = [None] * n
+        prefix = [0] * n
+        for t in forward:  # ascending sources: a state's prefix is set before its children's
+            parent[t.target] = t
+            prefix[t.target] = prefix[t.source] + t.weight
+        nearest: list = [(0, s, None) if s in self.finals else None for s in range(n)]
+        for t in reversed(forward):  # descending sources: children are settled first
+            ahead = nearest[t.target]
+            if ahead is not None:
+                best = nearest[t.source]
+                cost = ahead[0] + t.weight
+                if best is None or (cost, ahead[1]) < best[:2]:
+                    nearest[t.source] = (cost, ahead[1], t)
+        return parent, prefix, nearest
 
     @property
     def initial(self) -> int:
@@ -109,15 +115,13 @@ class BehaviorDfa:
         """The unique transition out of `state` on `behavior`, if defined."""
         return self._by_key.get((state, behavior))
 
-    def out_edges(self, state: int) -> tuple[Transition, ...]:
-        return tuple(self._out.get(state, ()))
-
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
         """The unique non-self-loop path from the initial state to `state`."""
+        parent = self._tables[0]
         path: list[Transition] = []
         current = state
         while current != 0:
-            t = self._parent.get(current)
+            t = parent[current]
             if t is None:
                 raise InternalInvariantError(
                     f"state {current} is not reachable from the initial state"
@@ -152,13 +156,8 @@ def build_dfa(patterns: Iterable[BehaviorTrace], catalog: BehaviorCatalog) -> Be
     )
 
 
-def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatalog) -> BehaviorDfa:
-    """Insert one more pattern, returning a new model.
-
-    The result is exactly what rebuilding from the original patterns plus
-    this one would produce, state numbering included. The catalog must be
-    the one the model was built with.
-    """
+def check_catalog(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> None:
+    """Raise CatalogMismatchError unless `catalog` is the one the model was built with."""
     supplied = catalog.fingerprint()
     if supplied != dfa.catalog_fingerprint:
         raise CatalogMismatchError(
@@ -166,6 +165,16 @@ def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatal
             f"supplied catalog is {supplied[:12]}...; re-run with the original catalog "
             "or rebuild the model"
         )
+
+
+def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatalog) -> BehaviorDfa:
+    """Insert one more pattern, returning a new model.
+
+    The result is exactly what rebuilding from the original patterns plus
+    this one would produce, state numbering included. The catalog must be
+    the one the model was built with.
+    """
+    check_catalog(dfa, catalog)
     transitions = {(t.source, t.behavior): t for t in dfa.transitions}
     finals = set(dfa.finals)
     count = _insert_pattern(transitions, finals, dfa.state_count, pattern, catalog)
@@ -232,94 +241,79 @@ class ValidationIssue:
 def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
     """Check all structural invariants; returns every violation found.
 
-    An empty list means the model is sound: deterministic, densely
-    numbered, every final reachable, and every state on some
-    initial-to-final path.
+    An empty list means the model is a sound trie: deterministic, densely
+    numbered, positive weights, every forward transition going to a higher
+    state id, every state but the initial one entered by exactly one
+    forward transition, self-loops only on such a state with the behavior
+    and weight of that transition, and every leaf final. These make every
+    state reachable from the initial state with a final ahead of it.
     """
     issues: list[ValidationIssue] = []
+
+    def flag(kind: str, detail: str) -> None:
+        issues.append(ValidationIssue(kind, detail))
+
     n = dfa.state_count
     if n < 1:
-        issues.append(ValidationIssue("no-states", "model has no states (initial state missing)"))
+        flag("no-states", "model has no states (initial state missing)")
         return issues
 
     seen_keys: set[tuple[int, int]] = set()
-    usable: list[Transition] = []
+    entry: list = [None] * n  # a forward transition into each state
+    indegree = [0] * n
+    has_child = [False] * n
+    loops: list[Transition] = []
     for t in dfa.transitions:
         key = (t.source, t.behavior)
         if key in seen_keys:
-            issues.append(
-                ValidationIssue(
-                    "determinism", f"two transitions from state {t.source} on behavior {t.behavior}"
-                )
-            )
+            flag("determinism", f"two transitions from state {t.source} on behavior {t.behavior}")
         seen_keys.add(key)
+        edge = f"transition {t.source}->{t.target} on {t.behavior}"
         if not (0 <= t.source < n and 0 <= t.target < n):
-            issues.append(
-                ValidationIssue(
-                    "state-bounds",
-                    f"transition {t.source}->{t.target} references a state outside 0..{n - 1}",
-                )
-            )
+            flag("state-bounds", f"{edge} references a state outside 0..{n - 1}")
             continue
         if t.weight < 1:
-            issues.append(
-                ValidationIssue(
-                    "bad-weight",
-                    f"transition {t.source}->{t.target} on {t.behavior} has weight {t.weight}",
-                )
-            )
-        usable.append(t)
-
-    finals_in_range: list[int] = []
-    for f in sorted(dfa.finals):
-        if not (0 <= f < n):
-            issues.append(ValidationIssue("state-bounds", f"final state {f} outside 0..{n - 1}"))
+            flag("bad-weight", f"{edge} has weight {t.weight}")
+        if t.is_self_loop:
+            loops.append(t)
+        elif t.target < t.source:
+            flag("not-a-trie", f"{edge} goes to a lower state id")
         else:
-            finals_in_range.append(f)
-    if not finals_in_range:
-        issues.append(ValidationIssue("no-finals", "model has no final states"))
+            entry[t.target] = t
+            indegree[t.target] += 1
+            has_child[t.source] = True
 
-    forward: dict[int, set[int]] = {}
-    reverse: dict[int, set[int]] = {}
-    for t in usable:
-        if not t.is_self_loop:
-            forward.setdefault(t.source, set()).add(t.target)
-            reverse.setdefault(t.target, set()).add(t.source)
+    finals: set[int] = set()
+    for f in sorted(dfa.finals):
+        if 0 <= f < n:
+            finals.add(f)
+        else:
+            flag("state-bounds", f"final state {f} outside 0..{n - 1}")
+    if not finals:
+        flag("no-finals", "model has no final states")
 
-    reachable = _closure({0}, forward)
-    coreachable = _closure(set(finals_in_range), reverse)
-
-    for f in finals_in_range:
-        if f not in reachable:
-            issues.append(
-                ValidationIssue(
-                    "unreachable-final", f"final state {f} is not reachable from the initial state"
+    for s in range(1, n):
+        if indegree[s] == 0:
+            flag("unreachable-state", f"state {s} is not reachable from the initial state")
+            if s in finals:
+                flag("unreachable-final", f"final state {s} is unreachable from the initial state")
+        elif indegree[s] > 1:
+            flag("not-a-trie", f"state {s} has {indegree[s]} incoming forward transitions")
+    for t in loops:
+        if t.source == 0:
+            flag("bad-self-loop", f"self-loop on behavior {t.behavior} at the initial state")
+        elif indegree[t.source] == 1:
+            into = entry[t.source]
+            if (t.behavior, t.weight) != (into.behavior, into.weight):
+                flag(
+                    "bad-self-loop",
+                    f"self-loop on state {t.source} is behavior {t.behavior} weight {t.weight}, "
+                    f"its incoming transition behavior {into.behavior} weight {into.weight}",
                 )
-            )
     for s in range(n):
-        if s not in reachable:
-            issues.append(
-                ValidationIssue(
-                    "unreachable-state", f"state {s} is not reachable from the initial state"
-                )
-            )
-        if s not in coreachable:
-            issues.append(
-                ValidationIssue("no-final-ahead", f"no final state is reachable from state {s}")
-            )
+        if not has_child[s] and s not in finals:
+            flag("no-final-ahead", f"no final state is reachable from state {s}")
     return issues
-
-
-def _closure(start: set[int], edges: dict[int, set[int]]) -> set[int]:
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        state = frontier.pop()
-        for nxt in edges.get(state, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def serialize(dfa: BehaviorDfa) -> bytes:

@@ -2,8 +2,9 @@
 
 Everything derived from EngineError is an input or configuration problem
 and maps to CLI exit code 1. InternalInvariantError deliberately sits
-outside that hierarchy: it signals a broken internal assumption (a bug,
-or a hand-edited model file) and maps to exit code 2.
+outside that hierarchy: it signals a broken internal assumption, that
+is a bug, and maps to exit code 2. A hand-edited model file that breaks
+the trie shape is rejected on load as a ModelFormatError.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class CatalogMismatchError(EngineError):
 class NoFinalReachableError(EngineError):
     """No final state is forward-reachable from the given state.
 
-    Cannot happen for models built by this package; guards hand-loaded ones.
+    Cannot happen for models that pass validate(); guards ones built
+    directly from a BehaviorDfa constructor.
     """
 
 

@@ -2,7 +2,7 @@
 
 Everything here works on the raw transition list of a model and answers
 by exhaustive enumeration, independently of the library's index
-structures, uniform-cost search and incremental insertion. The property
+structures, per-state tables and incremental insertion. The property
 and acceptance suites compare the engine against these.
 """
 

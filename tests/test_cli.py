@@ -10,7 +10,7 @@ import pytest
 
 from behaviordfa.catalog import default_catalog
 from behaviordfa.cli import main
-from behaviordfa.dfa import deserialize
+from behaviordfa.dfa import BehaviorDfa, Transition, deserialize, serialize
 
 from helpers import PATTERN_A, PATTERN_B
 
@@ -31,6 +31,15 @@ def pattern_file(tmp_path):
             {"id": "seed-b", "steps": PATTERN_B, "label": "malicious"},
         ],
     )
+
+
+@pytest.fixture
+def other_catalog_file(tmp_path):
+    path = tmp_path / "other-catalog.json"
+    path.write_text(
+        json.dumps([{"id": 7, "name": "Add Event Handler", "weight": 9}]), encoding="utf-8"
+    )
+    return path
 
 
 @pytest.fixture
@@ -234,6 +243,52 @@ class TestClassify:
         assert "error" in capsys.readouterr().err
 
 
+    def test_model_that_is_not_a_trie_is_a_user_error(self, tmp_path, capsys):
+        # State 3 is entered from both 1 and 2. Unchecked, the walk [11, 1]
+        # collects weight 7 against a denominator of 6 taken through state 2.
+        dag = BehaviorDfa(
+            state_count=5,
+            transitions=(
+                Transition(0, 1, 2, 2),
+                Transition(0, 11, 1, 5),
+                Transition(1, 1, 3, 2),
+                Transition(2, 1, 3, 2),
+                Transition(3, 1, 4, 2),
+            ),
+            finals=frozenset({4}),
+            catalog_fingerprint=default_catalog().fingerprint(),
+            pattern_count=1,
+        )
+        model = tmp_path / "model.json"
+        model.write_bytes(serialize(dag))
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [11, 1]}])
+        code = main(["classify", "--model", str(model), "--traces", str(traces)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "not-a-trie: state 3" in captured.err
+        assert captured.out == ""
+
+    def test_mismatched_catalog_fails_loudly(
+        self, tmp_path, model_file, other_catalog_file, capsys
+    ):
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [7]}])
+        code = main(
+            [
+                "classify",
+                "--model",
+                str(model_file),
+                "--traces",
+                str(traces),
+                "--catalog",
+                str(other_catalog_file),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "catalog" in captured.err
+        assert captured.out == ""
+
+
 class TestExportDot:
     def test_dot_written_to_file(self, tmp_path, model_file):
         out = tmp_path / "model.dot"
@@ -246,6 +301,26 @@ class TestExportDot:
     def test_dot_to_stdout(self, model_file, capsys):
         assert main(["export-dot", "--model", str(model_file)]) == 0
         assert "doublecircle" in capsys.readouterr().out
+
+
+    def test_mismatched_catalog_fails_loudly(
+        self, tmp_path, model_file, other_catalog_file, capsys
+    ):
+        out = tmp_path / "model.dot"
+        code = main(
+            [
+                "export-dot",
+                "--model",
+                str(model_file),
+                "--catalog",
+                str(other_catalog_file),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "catalog" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliContract:

@@ -216,6 +216,72 @@ class TestValidate:
         )
         assert any(i.kind == "bad-weight" for i in validate(dfa))
 
+    @pytest.mark.parametrize(
+        "transitions, finals, kind, detail",
+        [
+            pytest.param(
+                (
+                    Transition(0, 7, 1, 3),
+                    Transition(0, 5, 2, 3),
+                    Transition(1, 1, 3, 2),
+                    Transition(2, 1, 3, 2),
+                ),
+                {3},
+                "not-a-trie",
+                "state 3 has 2 incoming",
+                id="two-forward-edges-into-one-state",
+            ),
+            pytest.param(
+                (Transition(0, 7, 1, 3), Transition(0, 5, 2, 3), Transition(2, 1, 1, 2)),
+                {1, 2},
+                "not-a-trie",
+                "2->1",
+                id="forward-edge-to-a-lower-id",
+            ),
+            pytest.param(
+                (Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)),
+                {2},
+                "not-a-trie",
+                "2->1",
+                id="forward-cycle",
+            ),
+            pytest.param(
+                (Transition(0, 7, 1, 3), Transition(1, 5, 1, 3)),
+                {1},
+                "bad-self-loop",
+                "state 1 is behavior 5",
+                id="self-loop-on-another-behavior",
+            ),
+            pytest.param(
+                (Transition(0, 7, 1, 3), Transition(1, 7, 1, 4)),
+                {1},
+                "bad-self-loop",
+                "weight 4",
+                id="self-loop-with-another-weight",
+            ),
+            pytest.param(
+                (Transition(0, 7, 0, 3), Transition(0, 5, 1, 3)),
+                {1},
+                "bad-self-loop",
+                "initial state",
+                id="self-loop-on-the-initial-state",
+            ),
+        ],
+    )
+    def test_shapes_other_than_a_trie_flagged(self, transitions, finals, kind, detail):
+        dfa = BehaviorDfa(
+            state_count=1 + max(t.target for t in transitions),
+            transitions=transitions,
+            finals=frozenset(finals),
+            catalog_fingerprint="0" * 64,
+            pattern_count=1,
+        )
+        (issue,) = validate(dfa)
+        assert issue.kind == kind
+        assert detail in issue.detail
+        with pytest.raises(ModelFormatError, match=kind):
+            deserialize(serialize(dfa))
+
 
 class TestSerialization:
     def test_wire_format(self, seed_dfa):

@@ -5,11 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from behaviordfa.classify import Verdict, classify, match_prefix
+from behaviordfa.classify import Verdict, classify, match_prefix, nearest_final
 from behaviordfa.dfa import add_pattern, build_dfa, deserialize, serialize, validate
 
 from helpers import make_trace
-from oracle import oracle_classify
+from oracle import oracle_classify, oracle_nearest, oracle_prefix_weight
 
 # Four behaviors with two distinct weights (2, 3, 3, 5) keep the grouped-step
 # preference rule and the tie-break both exercised.
@@ -126,3 +126,14 @@ def test_engine_agrees_with_the_enumerating_reference(catalog, bodies, steps):
     if verdict == "partially_malign":
         assert outcome.nearest.final_state == final
         assert outcome.nearest.denominator_weight == denominator
+
+
+@given(pattern_bodies)
+def test_nearest_final_agrees_with_the_enumerating_reference(catalog, bodies):
+    dfa = build_from(bodies, catalog)
+    for state in range(dfa.state_count):
+        near = nearest_final(dfa, state)
+        final, cost = oracle_nearest(dfa, state)
+        assert near.final_state == final
+        assert sum(t.weight for t in near.forward_path) == cost
+        assert near.denominator_weight == oracle_prefix_weight(dfa, state) + cost
