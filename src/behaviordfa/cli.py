@@ -178,9 +178,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_add(args) -> int:
     catalog = _load_catalog_arg(args.catalog)
+    # Patterns first: a bad pattern file fails before paying for a model load.
+    patterns = _load_patterns(args.patterns, catalog)
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
-    patterns = _load_patterns(args.patterns, catalog)
     for pattern in patterns:
         dfa = add_pattern(dfa, pattern, catalog)
     _atomic_write(args.model, serialize(dfa))

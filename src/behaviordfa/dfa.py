@@ -13,15 +13,22 @@ can never be silently combined with a different weight table.
 
 Models are immutable values: add_pattern() returns a new model that is
 bit-for-bit what a full rebuild with the extended pattern list would
-produce, including state numbering.
+produce, including state numbering. Lookup indexes are built on first
+use, so build and add, which make one model per pattern, never pay for
+them.
+
+The model file is 2-space-indented JSON, fixed byte for byte: serialize()
+writes it from string templates, and deserialize() checks every field
+and the trie shape before it returns a model.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import IO, Iterable, Union
 
 from .catalog import BehaviorCatalog
@@ -39,6 +46,16 @@ MODEL_VERSION = 1
 _MODEL_KEYS = {"version", "catalog_fingerprint", "pattern_count", "states", "finals", "transitions"}
 _TRANSITION_KEYS = {"from", "on", "to", "weight"}
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{64}$")
+
+# The model file as json.dumps(indent=2) lays it out; serialize() fills these in.
+_HEADER = (
+    '{\n  "version": %d,\n  "catalog_fingerprint": %s,\n  "pattern_count": %d,\n'
+    '  "states": %d,\n  "finals": %s,\n  "transitions": %s\n}\n'
+)
+_FINAL = "    %d"
+_TRANSITION = (
+    '    {\n      "from": %d,\n      "on": %d,\n      "to": %d,\n      "weight": %d\n    }'
+)
 
 
 @dataclass(frozen=True)
@@ -63,7 +80,9 @@ class BehaviorDfa:
     (source, behavior) so equality, serialization and DOT export are
     reproducible. Lookups rely on the trie shape that validate() checks:
     forward transitions go to higher state ids, and every state but the
-    initial one has exactly one incoming forward transition.
+    initial one has exactly one incoming forward transition. The lookup
+    indexes, _by_key for step() and _tables for the per-state facts, are
+    built on first use.
     """
 
     state_count: int
@@ -71,13 +90,16 @@ class BehaviorDfa:
     finals: frozenset[int]
     catalog_fingerprint: str
     pattern_count: int
-    _by_key: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.transitions, key=lambda t: (t.source, t.behavior)))
+        ordered = tuple(sorted(self.transitions, key=attrgetter("source", "behavior")))
         object.__setattr__(self, "transitions", ordered)
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "_by_key", {(t.source, t.behavior): t for t in ordered})
+
+    @cached_property
+    def _by_key(self) -> dict[tuple[int, int], Transition]:
+        """Every transition keyed by (source, behavior)."""
+        return {(t.source, t.behavior): t for t in self.transitions}
 
     @cached_property
     def _tables(self) -> tuple[list, list, list]:
@@ -87,8 +109,7 @@ class BehaviorDfa:
         prefix the weight from the initial state, and nearest the cheapest
         final at or ahead of the state as (cost, final, first forward
         transition toward it, None at a final), ties to the lowest final id,
-        or None when no final is ahead. Built on first use, so build and
-        add, which make one model per pattern, never pay for it.
+        or None when no final is ahead.
         """
         n = self.state_count
         forward = [t for t in self.transitions if not t.is_self_loop]
@@ -317,23 +338,35 @@ def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
 
 
 def serialize(dfa: BehaviorDfa) -> bytes:
-    """Stable JSON encoding of a model; re-serializing round-trips byte-identically."""
-    doc = {
-        "version": MODEL_VERSION,
-        "catalog_fingerprint": dfa.catalog_fingerprint,
-        "pattern_count": dfa.pattern_count,
-        "states": dfa.state_count,
-        "finals": sorted(dfa.finals),
-        "transitions": [
-            {"from": t.source, "on": t.behavior, "to": t.target, "weight": t.weight}
-            for t in dfa.transitions
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """The model file, fixed byte for byte and written from string templates.
+
+    The bytes are what json.dumps(indent=2) writes for the model's document,
+    plus a final newline; re-serializing a loaded model round-trips exactly.
+    """
+    finals = [_FINAL % f for f in sorted(dfa.finals)]
+    transitions = [
+        _TRANSITION % (t.source, t.behavior, t.target, t.weight) for t in dfa.transitions
+    ]
+    text = _HEADER % (
+        MODEL_VERSION,
+        json.dumps(dfa.catalog_fingerprint),
+        dfa.pattern_count,
+        dfa.state_count,
+        _array(finals),
+        _array(transitions),
+    )
+    return text.encode("utf-8")
+
+
+def _array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
-    """Load a serialized model, verifying format and structural invariants."""
+    """Load a serialized model, verifying format and structural invariants.
+
+    A rejection names its place, e.g. `transition 12: "weight"` or `finals[3]`.
+    """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
@@ -363,35 +396,34 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     fingerprint = doc["catalog_fingerprint"]
     if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.match(fingerprint):
         raise ModelFormatError("catalog fingerprint is corrupt (expected 64 hex digits)")
-    states = _require_int(doc["states"], "states")
+    states = _require_int(doc["states"], '"states"')
     if states < 1:
         raise ModelFormatError(f"state count must be positive, got {states}")
-    pattern_count = _require_int(doc["pattern_count"], "pattern_count")
+    pattern_count = _require_int(doc["pattern_count"], '"pattern_count"')
     if pattern_count < 0:
         raise ModelFormatError(f"pattern count must be non-negative, got {pattern_count}")
 
     raw_finals = doc["finals"]
     if not isinstance(raw_finals, list):
-        raise ModelFormatError("'finals' must be an array")
-    finals = frozenset(_require_int(f, "final state") for f in raw_finals)
+        raise ModelFormatError('"finals" must be an array')
+    finals = frozenset(_require_int(f, f"finals[{i}]") for i, f in enumerate(raw_finals))
 
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):
-        raise ModelFormatError("'transitions' must be an array")
+        raise ModelFormatError('"transitions" must be an array')
     transitions: list[Transition] = []
     for position, raw in enumerate(raw_transitions):
-        if not isinstance(raw, dict) or set(raw) != _TRANSITION_KEYS:
+        # type() rather than isinstance(): JSON gives exact types, and a bool is no integer here.
+        if type(raw) is not dict or raw.keys() != _TRANSITION_KEYS:
             raise ModelFormatError(
-                f"transition {position}: expected keys {sorted(_TRANSITION_KEYS)}"
+                f"transition {position}: expected an object with keys "
+                f"{sorted(_TRANSITION_KEYS)}, got {_show(raw)}"
             )
-        transitions.append(
-            Transition(
-                source=_require_int(raw["from"], "from"),
-                behavior=_require_int(raw["on"], "on"),
-                target=_require_int(raw["to"], "to"),
-                weight=_require_int(raw["weight"], "weight"),
-            )
-        )
+        source, behavior, target, weight = raw["from"], raw["on"], raw["to"], raw["weight"]
+        if not (type(source) is type(behavior) is type(target) is type(weight) is int):
+            for key in ("from", "on", "to", "weight"):  # raises on the first bad field
+                _require_int(raw[key], f'transition {position}: "{key}"')
+        transitions.append(Transition(source, behavior, target, weight))
 
     dfa = BehaviorDfa(
         state_count=states,
@@ -407,10 +439,16 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     return dfa
 
 
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+def _require_int(value, where: str) -> int:
+    if type(value) is not int:
+        raise ModelFormatError(f"{where} must be an integer, got {_show(value)}")
     return value
+
+
+def _show(value) -> str:
+    """A JSON value as the model file spells it, cut short if long."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def export_dot(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> str:

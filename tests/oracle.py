@@ -2,16 +2,18 @@
 
 Everything here works on the raw transition list of a model and answers
 by exhaustive enumeration, independently of the library's index
-structures, per-state tables and incremental insertion. The property
-and acceptance suites compare the engine against these.
+structures, per-state tables, incremental insertion and string
+templates. The property and acceptance suites compare the engine
+against these.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
-from behaviordfa.dfa import BehaviorDfa
+from behaviordfa.dfa import MODEL_VERSION, BehaviorDfa
 
 from helpers import make_trace
 
@@ -109,6 +111,22 @@ def oracle_classify(dfa: BehaviorDfa, steps):
     denominator = oracle_prefix_weight(dfa, end) + forward_cost
     pct = Fraction(100 * matched_weight, denominator)
     return "partially_malign", pct, end, matched_weight, final, denominator
+
+
+def oracle_serialize(dfa: BehaviorDfa) -> bytes:
+    """The model file as the standard library's indenting JSON encoder writes it."""
+    doc = {
+        "version": MODEL_VERSION,
+        "catalog_fingerprint": dfa.catalog_fingerprint,
+        "pattern_count": dfa.pattern_count,
+        "states": dfa.state_count,
+        "finals": sorted(dfa.finals),
+        "transitions": [
+            {"from": t.source, "on": t.behavior, "to": t.target, "weight": t.weight}
+            for t in dfa.transitions
+        ],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def random_patterns(rng: random.Random, alphabet, max_patterns=5, max_len=8):

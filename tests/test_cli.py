@@ -142,6 +142,36 @@ class TestAdd:
         # Model untouched on failure.
         assert deserialize(model_file.read_bytes()).pattern_count == 2
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param(['{"id": "x", "steps": [7]}', "{broken"], "line 2", id="malformed"),
+            pytest.param(['{"id": "x", "steps": [7], "label": "benign"}'], "'x'", id="benign"),
+        ],
+    )
+    def test_bad_pattern_file_fails_and_leaves_the_model_alone(
+        self, tmp_path, model_file, capsys, lines, message
+    ):
+        patterns = tmp_path / "bad.jsonl"
+        patterns.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = model_file.read_bytes()
+        code = main(["add", "--model", str(model_file), "--patterns", str(patterns)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert model_file.read_bytes() == before
+
+    def test_pattern_file_is_checked_before_the_model_is_loaded(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("{broken", encoding="utf-8")
+        patterns = write_jsonl(
+            tmp_path / "p.jsonl", [{"id": "oops", "steps": [7], "label": "benign"}]
+        )
+        code = main(["add", "--model", str(model), "--patterns", str(patterns)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'oops'" in err and "benign" in err
+        assert "model file" not in err
+
 
 class TestClassify:
     def test_json_report_and_summary_line(self, tmp_path, model_file, capsys):

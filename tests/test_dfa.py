@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -151,6 +152,13 @@ class TestAddPattern:
         before = table_of(base)
         add_pattern(base, seed_patterns[1], catalog)
         assert table_of(base) == before
+
+    def test_lookup_indexes_are_built_on_first_use(self, catalog, seed_patterns):
+        grown = add_pattern(build_dfa(seed_patterns[:1], catalog), seed_patterns[1], catalog)
+        assert "_by_key" not in vars(grown) and "_tables" not in vars(grown)
+        assert grown.step(0, 5) == Transition(0, 5, 7, 3)
+        assert grown.step(0, 1) is None
+        assert "_by_key" in vars(grown)
 
 
 class TestValidate:
@@ -329,6 +337,66 @@ class TestSerialization:
         doc["comment"] = "hand edited"
         with pytest.raises(ModelFormatError, match="unexpected"):
             deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["from", "on", "to", "weight"])
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(True, "true"), (1.5, "1.5"), ("3", '"3"'), (None, "null")],
+        ids=["bool", "float", "string", "null"],
+    )
+    def test_non_integer_transition_field_names_the_place(self, seed_dfa, key, value, shown):
+        doc = json.loads(serialize(seed_dfa))
+        doc["transitions"][12][key] = value
+        expected = f'transition 12: "{key}" must be an integer, got {shown}'
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(expected)}$"):
+            deserialize(json.dumps(doc))
+
+    def test_first_bad_transition_field_is_named(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["transitions"][4].update({"to": "x", "weight": False})
+        with pytest.raises(ModelFormatError, match='transition 4: "to" must be an integer'):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param([0, 7, 1, 3], id="array"),
+            pytest.param("0 7 1 3", id="string"),
+            pytest.param(None, id="null"),
+            pytest.param({"from": 0, "on": 7, "to": 1}, id="missing-key"),
+            pytest.param({"from": 0, "on": 7, "to": 1, "weight": 3, "note": 1}, id="extra-key"),
+            pytest.param({"from": 0, "on": 7, "to": 1, "cost": 3}, id="renamed-key"),
+        ],
+    )
+    def test_malformed_transition_entry_names_the_place(self, seed_dfa, entry):
+        doc = json.loads(serialize(seed_dfa))
+        doc["transitions"][3] = entry
+        expected = "transition 3: expected an object with keys ['from', 'on', 'to', 'weight']"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(expected)}, got "):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("value, shown", [(True, "true"), ("6", '"6"')], ids=["bool", "string"])
+    def test_non_integer_final_names_the_place(self, seed_dfa, value, shown):
+        doc = json.loads(serialize(seed_dfa))
+        doc["finals"].append(value)
+        expected = f"finals[2] must be an integer, got {shown}"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(expected)}$"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["states", "pattern_count"])
+    def test_non_integer_count_names_the_key(self, seed_dfa, key):
+        doc = json.loads(serialize(seed_dfa))
+        doc[key] = "x"
+        with pytest.raises(ModelFormatError, match=f'^"{key}" must be an integer, got "x"$'):
+            deserialize(json.dumps(doc))
+
+    def test_long_bad_values_are_cut_short(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["finals"][0] = list(range(1000))
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value).startswith("finals[0] must be an integer, got [0, 1, 2")
+        assert len(str(raised.value)) < 120
 
 
 class TestExportDot:

@@ -2,14 +2,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviordfa.classify import Verdict, classify, match_prefix, nearest_final
-from behaviordfa.dfa import add_pattern, build_dfa, deserialize, serialize, validate
+from behaviordfa.dfa import (
+    BehaviorDfa,
+    Transition,
+    add_pattern,
+    build_dfa,
+    deserialize,
+    serialize,
+    validate,
+)
 
 from helpers import make_trace
-from oracle import oracle_classify, oracle_nearest, oracle_prefix_weight
+from oracle import oracle_classify, oracle_nearest, oracle_prefix_weight, oracle_serialize
 
 # Four behaviors with two distinct weights (2, 3, 3, 5) keep the grouped-step
 # preference rule and the tie-break both exercised.
@@ -80,6 +89,34 @@ def test_serialize_deserialize_identity(catalog, bodies):
     data = serialize(dfa)
     assert deserialize(data) == dfa
     assert serialize(deserialize(data)) == data
+
+
+@given(pattern_bodies, st.lists(pattern_bodies, max_size=3))
+def test_serialize_matches_the_reference_encoder(catalog, bodies, batches):
+    dfa = build_from(bodies, catalog)
+    assert serialize(dfa) == oracle_serialize(dfa)
+    for n, batch in enumerate(batches):
+        for i, body in enumerate(batch):
+            dfa = add_pattern(dfa, make_trace(body, trace_id=f"a{n}.{i}"), catalog)
+        assert serialize(dfa) == oracle_serialize(dfa)
+
+
+@pytest.mark.parametrize(
+    "dfa",
+    [
+        pytest.param(BehaviorDfa(1, (), frozenset(), "0" * 64, 0), id="empty"),
+        pytest.param(
+            BehaviorDfa(2, (Transition(0, 7, 1, 3),), frozenset(), "f" * 64, 0), id="no-finals"
+        ),
+        pytest.param(BehaviorDfa(1, (), frozenset({0}), "0" * 64, 7), id="no-transitions"),
+        pytest.param(
+            BehaviorDfa(1, (), frozenset({0}), 'quote " slash \\ tab \t é \u2028', 1),
+            id="escaped-fingerprint",
+        ),
+    ],
+)
+def test_serialize_matches_the_reference_encoder_on_degenerate_models(dfa):
+    assert serialize(dfa) == oracle_serialize(dfa)
 
 
 @given(pattern_bodies, trace_steps)
