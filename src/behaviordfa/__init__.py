@@ -49,7 +49,6 @@ from .errors import (
 from .ingest import (
     BehaviorTrace,
     RecordError,
-    TraceStep,
     compress_runs,
     expand_runs,
     parse_traces,
@@ -80,7 +79,6 @@ __all__ = [
     "PatternError",
     "RecordError",
     "TraceFormatError",
-    "TraceStep",
     "Transition",
     "UnknownBehaviorError",
     "ValidationIssue",

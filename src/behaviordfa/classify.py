@@ -98,7 +98,7 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     for step in trace.steps:
         if reached:
             break
-        transition = _choose_transition(dfa, state, step.behaviors)
+        transition = _choose_transition(dfa, state, step)
         if transition is None:
             diverged = True
             break

@@ -132,11 +132,19 @@ def _load_patterns(path: str, catalog: BehaviorCatalog):
 
 def _atomic_write(path: str, data: bytes) -> None:
     # Temp file in the target directory, then rename: an interrupted write
-    # never leaves a half-written model behind.
+    # never leaves a half-written model behind. It keeps the replaced file's
+    # mode, or takes the one open() gives a new file (mkstemp's is 0600).
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = Path(path).resolve().parent
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(data)
         os.replace(tmp_path, path)
     except BaseException:

@@ -45,7 +45,8 @@ MODEL_VERSION = 1
 
 _MODEL_KEYS = {"version", "catalog_fingerprint", "pattern_count", "states", "finals", "transitions"}
 _TRANSITION_KEYS = {"from", "on", "to", "weight"}
-_FINGERPRINT_RE = re.compile(r"^[0-9a-f]{64}$")
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
+_LISTED_ISSUES = 10  # a load error names this many structural issues, then counts the rest
 
 # The model file as json.dumps(indent=2) lays it out; serialize() fills these in.
 _HEADER = (
@@ -211,12 +212,12 @@ def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatal
 def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:
     flat: list[int] = []
     for index, step in enumerate(pattern.steps):
-        if len(step.behaviors) != 1:
+        if len(step) != 1:
             raise PatternError(
                 f"pattern {pattern.trace_id!r}: step {index} holds "
-                f"{len(step.behaviors)} behaviors; patterns must use single-behavior steps"
+                f"{len(step)} behaviors; patterns must use single-behavior steps"
             )
-        flat.append(step.behaviors[0])
+        flat.append(step[0])
     if not flat:
         raise PatternError(f"pattern {pattern.trace_id!r} is empty")
     return flat
@@ -382,7 +383,7 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
         raise ModelFormatError("model file must be a JSON object")
 
     version = doc.get("version")
-    if version != MODEL_VERSION:
+    if type(version) is not int or version != MODEL_VERSION:
         raise ModelFormatError(
             f"unsupported model version {version!r} (this build reads version {MODEL_VERSION})"
         )
@@ -394,7 +395,7 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
         raise ModelFormatError(f"missing model keys {sorted(missing)}")
 
     fingerprint = doc["catalog_fingerprint"]
-    if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.match(fingerprint):
+    if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(fingerprint):
         raise ModelFormatError("catalog fingerprint is corrupt (expected 64 hex digits)")
     states = _require_int(doc["states"], '"states"')
     if states < 1:
@@ -411,6 +412,11 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):
         raise ModelFormatError('"transitions" must be an array')
+    # In a trie every state but 0 has its own incoming transition.
+    if states > len(raw_transitions) + 1:
+        raise ModelFormatError(
+            f"{states} states need at least {states - 1} transitions, got {len(raw_transitions)}"
+        )
     transitions: list[Transition] = []
     for position, raw in enumerate(raw_transitions):
         # type() rather than isinstance(): JSON gives exact types, and a bool is no integer here.
@@ -434,7 +440,9 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     )
     issues = validate(dfa)
     if issues:
-        listing = "; ".join(f"{i.kind}: {i.detail}" for i in issues)
+        listing = "; ".join(f"{i.kind}: {i.detail}" for i in issues[:_LISTED_ISSUES])
+        if len(issues) > _LISTED_ISSUES:
+            listing += f"; and {len(issues) - _LISTED_ISSUES} more"
         raise ModelFormatError(f"model violates structural invariants: {listing}")
     return dfa
 

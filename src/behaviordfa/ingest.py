@@ -5,10 +5,10 @@ Trace files are line-delimited JSON, one trace per line:
     {"id": "1058", "steps": [[7], [11, 3], [7], [11, 3]], "label": null}
 
 A step is the list of behavior ids observed at one point in execution;
-most steps hold a single id. The flat shorthand ``"steps": [7, 5]`` is
-accepted and normalized to singleton steps, and the two spellings may be
-mixed within one record. Labels are advisory metadata: they travel through
-to reports but never influence classification.
+most steps hold a single id, and the flat shorthand ``"steps": [7, 5]``
+may be mixed with the grouped form. Parsed, each step is a plain tuple of
+ids, ``(7,)`` or ``(11, 3)``, checked once, in _parse_record(). Labels are
+advisory metadata: they travel to reports but never influence classification.
 """
 
 from __future__ import annotations
@@ -24,26 +24,11 @@ LABELS = ("malicious", "benign")
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """Behaviors observed together at one execution point."""
-
-    behaviors: tuple[int, ...]
-
-    def __post_init__(self):
-        behaviors = tuple(self.behaviors)
-        object.__setattr__(self, "behaviors", behaviors)
-        if not behaviors:
-            raise ValueError("a trace step needs at least one behavior")
-        if len(set(behaviors)) != len(behaviors):
-            raise ValueError(f"duplicate behavior within one step: {behaviors}")
-
-
-@dataclass(frozen=True)
 class BehaviorTrace:
-    """One script's ordered execution record."""
+    """One script's execution record: steps in order, each a tuple of behavior ids."""
 
     trace_id: str
-    steps: tuple[TraceStep, ...]
+    steps: tuple[tuple[int, ...], ...]
     label: str | None = None
 
     def __post_init__(self):
@@ -162,27 +147,26 @@ def _parse_record(text, line_no, catalog, seen_ids):
     if not isinstance(raw_steps, list):
         raise TraceFormatError(f"trace {trace_id!r}: 'steps' must be an array", line=line_no)
 
-    steps: list[TraceStep] = []
+    steps: list[tuple[int, ...]] = []
     for index, entry in enumerate(raw_steps):
-        behaviors = entry if isinstance(entry, list) else [entry]
-        if not behaviors:
+        step = tuple(entry) if type(entry) is list else (entry,)
+        if not step:
             raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty", line=line_no)
-        checked: list[int] = []
-        for b in behaviors:
-            if isinstance(b, bool) or not isinstance(b, int) or b < 0:
+        # Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
+        for position, b in enumerate(step):
+            if type(b) is not int or b < 0:
                 raise TraceFormatError(
                     f"trace {trace_id!r}: step {index} holds {b!r}, "
                     "expected a non-negative integer behavior id",
                     line=line_no,
                 )
-            if b in checked:
+            if b in step[:position]:
                 raise TraceFormatError(
                     f"trace {trace_id!r}: step {index} repeats behavior {b}", line=line_no
                 )
             if catalog is not None and b not in catalog:
                 raise UnknownBehaviorError(b, context=f"trace {trace_id!r}, step {index}")
-            checked.append(b)
-        steps.append(TraceStep(tuple(checked)))
+        steps.append(step)
 
     seen_ids.add(trace_id)
     return BehaviorTrace(trace_id, tuple(steps), label)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from behaviordfa.ingest import BehaviorTrace, TraceStep
+from behaviordfa.ingest import BehaviorTrace
 
 # Known-malicious seed sequences used throughout the suite. Building from
 # these two yields an 11-state model with finals {6, 10}: the first branch
@@ -15,5 +15,5 @@ PATTERN_B = [5, 1, 1, 1, 5, 1, 1, 1, 1]
 
 def make_trace(steps, trace_id="t0", label=None) -> BehaviorTrace:
     """Build a trace from a list of ints (singleton steps) and/or lists."""
-    norm = tuple(TraceStep((s,) if isinstance(s, int) else tuple(s)) for s in steps)
+    norm = tuple((s,) if isinstance(s, int) else tuple(s) for s in steps)
     return BehaviorTrace(trace_id, norm, label)

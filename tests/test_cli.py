@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,18 @@ def other_catalog_file(tmp_path):
         json.dumps([{"id": 7, "name": "Add Event Handler", "weight": 9}]), encoding="utf-8"
     )
     return path
+
+
+@pytest.fixture
+def umask_022():
+    # A umask that lets group and others read, so a 0600 file stands out.
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+def file_mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
 
 
 @pytest.fixture
@@ -88,6 +101,15 @@ class TestBuild:
         assert main(["build", "--patterns", str(bad), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_new_out_file_gets_the_mode_open_gives(self, tmp_path, pattern_file, umask_022):
+        out = tmp_path / "model.json"
+        code = main(["--quiet", "build", "--patterns", str(pattern_file), "--out", str(out)])
+        assert code == 0
+        reference = tmp_path / "reference.json"
+        with open(reference, "wb"):
+            pass
+        assert file_mode(out) == file_mode(reference)
+
     def test_custom_catalog(self, tmp_path, capsys):
         catalog_file = tmp_path / "catalog.json"
         catalog_file.write_text(
@@ -126,6 +148,12 @@ class TestAdd:
         assert after.transitions == before.transitions
         assert after.finals == before.finals
         assert after.pattern_count == before.pattern_count + 2
+
+    def test_add_keeps_the_mode_of_the_model(self, tmp_path, model_file, pattern_file, umask_022):
+        os.chmod(model_file, 0o640)
+        code = main(["--quiet", "add", "--model", str(model_file), "--patterns", str(pattern_file)])
+        assert code == 0
+        assert file_mode(model_file) == 0o640
 
     def test_mismatched_catalog_fails_loudly(self, tmp_path, model_file, capsys):
         other = tmp_path / "other-catalog.json"

@@ -320,6 +320,20 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=r"99.*version 1"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_version_must_be_the_integer_one(self, seed_dfa, version):
+        # Both compare equal to 1, but a model loaded from them would write other bytes.
+        doc = json.loads(serialize(seed_dfa))
+        doc["version"] = version
+        with pytest.raises(ModelFormatError, match="unsupported model version"):
+            deserialize(json.dumps(doc))
+
+    def test_fingerprint_with_a_trailing_newline_is_corrupt(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["catalog_fingerprint"] += "\n"
+        with pytest.raises(ModelFormatError, match="fingerprint"):
+            deserialize(json.dumps(doc))
+
     def test_corrupt_fingerprint(self, seed_dfa):
         doc = json.loads(serialize(seed_dfa))
         doc["catalog_fingerprint"] = "zz-not-hex"
@@ -331,6 +345,27 @@ class TestSerialization:
         doc["transitions"].append({"from": 0, "on": 7, "to": 7, "weight": 3})
         with pytest.raises(ModelFormatError, match="determinism"):
             deserialize(json.dumps(doc))
+
+    def test_state_count_beyond_the_transitions_is_rejected_before_allocating(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["states"] = 100_000
+        doc["finals"] = [1]
+        doc["transitions"] = [{"from": 0, "on": 7, "to": 1, "weight": 3}]
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        message = str(raised.value)
+        assert message == "100000 states need at least 99999 transitions, got 1"
+        assert len(message) < 200
+
+    def test_load_error_lists_the_first_ten_issues(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        for t in doc["transitions"]:
+            t["weight"] = 0
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        message = str(raised.value)
+        assert message.count("bad-weight") == 10
+        assert message.endswith("; and 5 more")
 
     def test_unexpected_keys_rejected(self, seed_dfa):
         doc = json.loads(serialize(seed_dfa))

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from behaviordfa.errors import TraceFormatError, UnknownBehaviorError
+from behaviordfa.classify import classify
+from behaviordfa.dfa import build_dfa
+from behaviordfa.errors import PatternError, TraceFormatError, UnknownBehaviorError
 from behaviordfa.ingest import (
     BehaviorTrace,
     RecordError,
-    TraceStep,
     compress_runs,
     expand_runs,
     parse_traces,
@@ -31,17 +32,17 @@ class TestParseTraces:
         (trace,) = parse_traces(lines, catalog)
         assert trace.trace_id == "1058"
         assert len(trace.steps) == 4
-        assert trace.steps[1].behaviors == (11, 3)
+        assert trace.steps[1] == (11, 3)
 
     def test_flat_shorthand_normalizes_to_singletons(self, catalog):
         lines = jsonl({"id": "a", "steps": [7, 5]})
         (trace,) = parse_traces(lines, catalog)
-        assert [s.behaviors for s in trace.steps] == [(7,), (5,)]
+        assert list(trace.steps) == [(7,), (5,)]
 
     def test_mixed_shorthand_and_grouped(self, catalog):
         lines = jsonl({"id": "a", "steps": [7, [11, 3], 7]})
         (trace,) = parse_traces(lines, catalog)
-        assert [s.behaviors for s in trace.steps] == [(7,), (11, 3), (7,)]
+        assert list(trace.steps) == [(7,), (11, 3), (7,)]
 
     def test_empty_steps_is_a_valid_zero_length_trace(self, catalog):
         lines = jsonl({"id": "empty", "steps": []})
@@ -114,6 +115,23 @@ class TestParseErrors:
         with pytest.raises(TraceFormatError, match="repeats behavior 7"):
             list(parse_traces(lines, catalog))
 
+    @pytest.mark.parametrize(
+        "step, error, message",
+        [
+            ([7, 7, "x"], TraceFormatError, "step 1 repeats behavior 7"),
+            (["x", 7], TraceFormatError, "step 1 holds 'x'"),
+            # The first 99 fails the catalog check before its repeat is reached.
+            ([99, 99], UnknownBehaviorError, "99.*step 1"),
+        ],
+        ids=["repeat-first", "type-first", "unknown-first"],
+    )
+    def test_first_bad_behavior_of_a_grouped_step_is_reported(
+        self, catalog, step, error, message
+    ):
+        lines = jsonl({"id": "a", "steps": [7, step]})
+        with pytest.raises(error, match=message):
+            list(parse_traces(lines, catalog))
+
     def test_empty_step(self, catalog):
         lines = jsonl({"id": "a", "steps": [[]]})
         with pytest.raises(TraceFormatError, match="step 0 is empty"):
@@ -137,7 +155,7 @@ class TestParseErrors:
     def test_without_catalog_ids_are_not_validated(self):
         lines = jsonl({"id": "a", "steps": [99, 1234]})
         (trace,) = parse_traces(lines)
-        assert trace.steps[0].behaviors == (99,)
+        assert trace.steps[0] == (99,)
 
 
 class TestScanTraces:
@@ -165,14 +183,17 @@ class TestScanTraces:
         assert bad == [4, 8]
 
 
-class TestTraceStep:
-    def test_rejects_empty_step(self):
-        with pytest.raises(ValueError):
-            TraceStep(())
+class TestDirectlyBuiltTraces:
+    # Only parsed traces are checked; a hand-built empty step is still safe downstream.
+    def test_empty_step_classifies_as_a_divergence(self, seed_dfa):
+        result = classify(seed_dfa, BehaviorTrace("a", ((7,), (), (5,))))
+        assert result.match.diverged
+        assert (result.match.end_state, result.match.consumed_steps) == (1, 1)
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            TraceStep((7, 7))
+    def test_empty_step_in_a_pattern_is_a_pattern_error(self, catalog):
+        pattern = BehaviorTrace("p", ((7,), ()), "malicious")
+        with pytest.raises(PatternError, match="step 1 holds 0 behaviors"):
+            build_dfa([pattern], catalog)
 
 
 class TestCompressRuns:

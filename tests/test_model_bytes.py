@@ -1,9 +1,11 @@
-"""Pinned model bytes: the model file format is fixed byte for byte.
+"""Pinned model and report bytes: both formats are fixed byte for byte.
 
 A seeded pattern file is built with `build` and grown with `add`; the
 SHA-256 of both model files is pinned, and growing a model must write
-exactly the bytes a full rebuild writes. Any change to the encoder that
-moves a single byte fails here.
+exactly the bytes a full rebuild writes. A seeded trace file classified
+against a seeded model pins the SHA-256 of the JSON and CSV reports. Any
+change to the encoders, ingest or scoring that moves a single byte fails
+here.
 """
 
 from __future__ import annotations
@@ -59,3 +61,62 @@ def test_build_and_add_write_the_pinned_bytes(tmp_path):
     assert main(["--quiet", "add", "--model", str(grown), "--patterns", batch]) == 0
     assert _sha256(grown) == ADDED_SHA256
     assert grown.read_bytes() == rebuilt.read_bytes()
+
+
+TRACE_COUNT = 400
+
+JSON_REPORT_SHA256 = "b2aa5bd8204546045b2c36f4c718ecb0d71bd22b4aa37e6add6c58f9106e7ac5"
+CSV_REPORT_SHA256 = "269474fc48a7a25d7f777ef7a2b68eba8c72920d4cb14a5bd3a37f59169f0e94"
+
+
+def _trace_lines(patterns):
+    # Traces follow a seeded pattern for a while and then wander, spelled as
+    # flat ids, grouped steps or a mix of both; a few lines are malformed,
+    # hold an id outside the catalog or repeat an earlier trace id.
+    rng = random.Random(20240611)
+    ids = sorted(spec.id for spec in default_catalog())
+    lines = []
+    for index in range(TRACE_COUNT):
+        flat = list(rng.choice(patterns)["steps"])
+        flat = flat[: rng.randint(0, len(flat))]
+        flat.extend(rng.choice(ids) for _ in range(rng.randint(0, 4)))
+        steps = []
+        for behavior in flat:
+            spelling = rng.random()
+            if spelling < 0.5:
+                steps.append(behavior)
+            elif spelling < 0.75:
+                steps.append([behavior])
+            else:
+                others = [b for b in rng.sample(ids, 2) if b != behavior]
+                steps.append(rng.sample([behavior, *others], len(others) + 1))
+        trace_id = f"t{index - 1}" if index % 97 == 50 else f"t{index}"
+        if index % 61 == 30:
+            steps.insert(rng.randint(0, len(steps)), 9999)
+        label = rng.choice((None, "malicious", "benign"))
+        line = json.dumps({"id": trace_id, "steps": steps, "label": label})
+        if index % 53 == 20:
+            line = line[: len(line) // 2]
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def test_classify_writes_the_pinned_report_bytes(tmp_path):
+    # Long patterns only, so that few short walks end in a final state.
+    records = [r for r in _patterns() if len(r["steps"]) >= 8]
+    model = tmp_path / "model.json"
+    catalog = tmp_path / "catalog.json"
+    traces = tmp_path / "traces.jsonl"
+    json_report = tmp_path / "report.json"
+    csv_report = tmp_path / "report.csv"
+    catalog.write_bytes(default_catalog().to_json())
+    traces.write_text(_trace_lines(records), encoding="utf-8")
+    patterns = _write(tmp_path / "patterns.jsonl", records)
+
+    assert main(["--quiet", "build", "--patterns", patterns, "--out", str(model)]) == 0
+    common = ["--quiet", "classify", "--model", str(model), "--traces", str(traces)]
+    assert main([*common, "--out", str(json_report)]) == 0
+    with_catalog = [*common, "--catalog", str(catalog), "--format", "csv"]
+    assert main([*with_catalog, "--out", str(csv_report)]) == 0
+    assert _sha256(json_report) == JSON_REPORT_SHA256
+    assert _sha256(csv_report) == CSV_REPORT_SHA256
