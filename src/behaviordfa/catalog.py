@@ -72,6 +72,7 @@ class BehaviorCatalog:
             by_name[spec.name] = spec
         self._by_id = by_id
         self._by_name = by_name
+        self._ids = frozenset(by_id)
         self._fingerprint: str | None = None
 
     def __contains__(self, behavior_id: int) -> bool:
@@ -90,6 +91,11 @@ class BehaviorCatalog:
 
     def __repr__(self) -> str:
         return f"BehaviorCatalog({len(self._by_id)} behaviors)"
+
+    @property
+    def ids(self) -> frozenset[int]:
+        """Every behavior id, for membership tests that run once per id."""
+        return self._ids
 
     @property
     def entries(self) -> tuple[BehaviorSpec, ...]:

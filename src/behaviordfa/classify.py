@@ -103,10 +103,11 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
             diverged = True
             break
         consumed += 1
-        if not transition.is_self_loop:
+        target = transition.target
+        if target != state:  # a self-loop consumes the step but is not recorded
             matched.append(transition)
             weight += transition.weight
-        state = transition.target
+        state = target
         if state in dfa.finals:
             reached = True
     return MatchResult(

@@ -9,7 +9,9 @@ deterministic. The last state of every inserted sequence is final.
 
 Every transition carries the risk weight of its behavior, frozen from the
 catalog at build time; the catalog's fingerprint is recorded so a model
-can never be silently combined with a different weight table.
+can never be silently combined with a different weight table. A
+transition is a named tuple (source, behavior, target, weight), so
+transitions sort, compare and unpack as plain tuples.
 
 Models are immutable values: add_pattern() returns a new model that is
 bit-for-bit what a full rebuild with the extended pattern list would
@@ -18,8 +20,9 @@ use, so build and add, which make one model per pattern, never pay for
 them.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
-writes it from string templates, and deserialize() checks every field
-and the trie shape before it returns a model.
+writes it from string templates, and deserialize() checks every field,
+in one pass over the transitions, and the trie shape before it returns a
+model.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 from .catalog import BehaviorCatalog
 from .errors import (
@@ -44,7 +46,8 @@ from .ingest import BehaviorTrace, compress_runs
 MODEL_VERSION = 1
 
 _MODEL_KEYS = {"version", "catalog_fingerprint", "pattern_count", "states", "finals", "transitions"}
-_TRANSITION_KEYS = {"from", "on", "to", "weight"}
+_TRANSITION_FIELDS = ("from", "on", "to", "weight")  # file keys of Transition's fields, in order
+_TRANSITION_KEYS = set(_TRANSITION_FIELDS)
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
 _LISTED_ISSUES = 10  # a load error names this many structural issues, then counts the rest
 
@@ -59,9 +62,8 @@ _TRANSITION = (
 )
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One labeled, weighted edge of the automaton."""
+class Transition(NamedTuple):
+    """One labeled, weighted edge of the automaton: (source, behavior, target, weight)."""
 
     source: int
     behavior: int
@@ -77,9 +79,11 @@ class Transition:
 class BehaviorDfa:
     """States 0..state_count-1, deterministic transitions, final-state set.
 
-    State 0 is always the initial state. Transitions are kept sorted by
-    (source, behavior) so equality, serialization and DOT export are
-    reproducible. Lookups rely on the trie shape that validate() checks:
+    State 0 is always the initial state. Transitions are kept in plain
+    tuple order, which sorts by (source, behavior) first, so equality,
+    serialization and DOT export are reproducible and transitions that
+    share a (source, behavior) are neighbours for validate()'s determinism
+    check. Lookups rely on the trie shape that validate() checks:
     forward transitions go to higher state ids, and every state but the
     initial one has exactly one incoming forward transition. The lookup
     indexes, _by_key for step() and _tables for the per-state facts, are
@@ -93,7 +97,7 @@ class BehaviorDfa:
     pattern_count: int
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.transitions, key=attrgetter("source", "behavior")))
+        ordered = tuple(sorted(self.transitions))
         object.__setattr__(self, "transitions", ordered)
         object.__setattr__(self, "finals", frozenset(self.finals))
 
@@ -113,12 +117,13 @@ class BehaviorDfa:
         or None when no final is ahead.
         """
         n = self.state_count
-        forward = [t for t in self.transitions if not t.is_self_loop]
+        forward = [t for t in self.transitions if t.source != t.target]
         parent: list = [None] * n
         prefix = [0] * n
         for t in forward:  # ascending sources: a state's prefix is set before its children's
-            parent[t.target] = t
-            prefix[t.target] = prefix[t.source] + t.weight
+            source, _, target, weight = t
+            parent[target] = t
+            prefix[target] = prefix[source] + weight
         nearest: list = [(0, s, None) if s in self.finals else None for s in range(n)]
         for t in reversed(forward):  # descending sources: children are settled first
             ahead = nearest[t.target]
@@ -280,30 +285,36 @@ def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
         flag("no-states", "model has no states (initial state missing)")
         return issues
 
-    seen_keys: set[tuple[int, int]] = set()
     entry: list = [None] * n  # a forward transition into each state
     indegree = [0] * n
     has_child = [False] * n
     loops: list[Transition] = []
-    for t in dfa.transitions:
-        key = (t.source, t.behavior)
-        if key in seen_keys:
-            flag("determinism", f"two transitions from state {t.source} on behavior {t.behavior}")
-        seen_keys.add(key)
-        edge = f"transition {t.source}->{t.target} on {t.behavior}"
-        if not (0 <= t.source < n and 0 <= t.target < n):
-            flag("state-bounds", f"{edge} references a state outside 0..{n - 1}")
+    last_source = last_behavior = None
+    for t in dfa.transitions:  # sorted: transitions that share a (source, behavior) are neighbours
+        source, behavior, target, weight = t
+        if behavior == last_behavior and source == last_source:
+            flag("determinism", f"two transitions from state {source} on behavior {behavior}")
+        last_source, last_behavior = source, behavior
+        if not (0 <= source < n and 0 <= target < n):
+            flag(
+                "state-bounds",
+                f"transition {source}->{target} on {behavior} "
+                f"references a state outside 0..{n - 1}",
+            )
             continue
-        if t.weight < 1:
-            flag("bad-weight", f"{edge} has weight {t.weight}")
-        if t.is_self_loop:
+        if weight < 1:
+            flag("bad-weight", f"transition {source}->{target} on {behavior} has weight {weight}")
+        if source == target:
             loops.append(t)
-        elif t.target < t.source:
-            flag("not-a-trie", f"{edge} goes to a lower state id")
+        elif target < source:
+            flag(
+                "not-a-trie",
+                f"transition {source}->{target} on {behavior} goes to a lower state id",
+            )
         else:
-            entry[t.target] = t
-            indegree[t.target] += 1
-            has_child[t.source] = True
+            entry[target] = t
+            indegree[target] += 1
+            has_child[source] = True
 
     finals: set[int] = set()
     for f in sorted(dfa.finals):
@@ -345,9 +356,7 @@ def serialize(dfa: BehaviorDfa) -> bytes:
     plus a final newline; re-serializing a loaded model round-trips exactly.
     """
     finals = [_FINAL % f for f in sorted(dfa.finals)]
-    transitions = [
-        _TRANSITION % (t.source, t.behavior, t.target, t.weight) for t in dfa.transitions
-    ]
+    transitions = [_TRANSITION % t for t in dfa.transitions]
     text = _HEADER % (
         MODEL_VERSION,
         json.dumps(dfa.catalog_fingerprint),
@@ -420,16 +429,17 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     transitions: list[Transition] = []
     for position, raw in enumerate(raw_transitions):
         # type() rather than isinstance(): JSON gives exact types, and a bool is no integer here.
-        if type(raw) is not dict or raw.keys() != _TRANSITION_KEYS:
-            raise ModelFormatError(
-                f"transition {position}: expected an object with keys "
-                f"{sorted(_TRANSITION_KEYS)}, got {_show(raw)}"
-            )
-        source, behavior, target, weight = raw["from"], raw["on"], raw["to"], raw["weight"]
+        # A dict of four entries that holds the four keys has exactly those keys.
+        if type(raw) is not dict or len(raw) != 4:
+            raise _transition_error(position, raw)
+        try:
+            fields = (raw["from"], raw["on"], raw["to"], raw["weight"])
+        except KeyError:
+            raise _transition_error(position, raw) from None
+        source, behavior, target, weight = fields
         if not (type(source) is type(behavior) is type(target) is type(weight) is int):
-            for key in ("from", "on", "to", "weight"):  # raises on the first bad field
-                _require_int(raw[key], f'transition {position}: "{key}"')
-        transitions.append(Transition(source, behavior, target, weight))
+            raise _transition_error(position, raw)
+        transitions.append(tuple.__new__(Transition, fields))
 
     dfa = BehaviorDfa(
         state_count=states,
@@ -451,6 +461,20 @@ def _require_int(value, where: str) -> int:
     if type(value) is not int:
         raise ModelFormatError(f"{where} must be an integer, got {_show(value)}")
     return value
+
+
+def _transition_error(position: int, raw) -> ModelFormatError:
+    """The placed error for a transition entry that deserialize() rejected."""
+    if type(raw) is dict and raw.keys() == _TRANSITION_KEYS:
+        try:
+            for key in _TRANSITION_FIELDS:  # names the first bad field
+                _require_int(raw[key], f'transition {position}: "{key}"')
+        except ModelFormatError as exc:
+            return exc
+    return ModelFormatError(
+        f"transition {position}: expected an object with keys "
+        f"{sorted(_TRANSITION_KEYS)}, got {_show(raw)}"
+    )
 
 
 def _show(value) -> str:

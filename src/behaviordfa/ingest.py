@@ -95,6 +95,7 @@ def scan_traces(
 
 
 def _iter_records(source, catalog, strict):
+    known = None if catalog is None else catalog.ids
     seen_ids: set[str] = set()
     for line_no, raw in enumerate(source, start=1):
         try:
@@ -107,7 +108,7 @@ def _iter_records(source, catalog, strict):
         if not text.strip():
             continue
         try:
-            yield _parse_record(text, line_no, catalog, seen_ids)
+            yield _parse_record(text, line_no, known, seen_ids)
         except EngineError as exc:
             if strict:
                 raise
@@ -123,7 +124,8 @@ def _as_text(raw, line_no):
     return raw
 
 
-def _parse_record(text, line_no, catalog, seen_ids):
+def _parse_record(text, line_no, known, seen_ids):
+    """One checked trace; `known` is the catalog's id set, or None to accept any id."""
     try:
         obj = json.loads(text)
     except ValueError as exc:
@@ -152,19 +154,22 @@ def _parse_record(text, line_no, catalog, seen_ids):
         step = tuple(entry) if type(entry) is list else (entry,)
         if not step:
             raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty", line=line_no)
+        earlier = set() if len(step) > 1 else None  # keeps the repeat check linear in the step
         # Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
-        for position, b in enumerate(step):
+        for b in step:
             if type(b) is not int or b < 0:
                 raise TraceFormatError(
                     f"trace {trace_id!r}: step {index} holds {b!r}, "
                     "expected a non-negative integer behavior id",
                     line=line_no,
                 )
-            if b in step[:position]:
-                raise TraceFormatError(
-                    f"trace {trace_id!r}: step {index} repeats behavior {b}", line=line_no
-                )
-            if catalog is not None and b not in catalog:
+            if earlier is not None:
+                if b in earlier:
+                    raise TraceFormatError(
+                        f"trace {trace_id!r}: step {index} repeats behavior {b}", line=line_no
+                    )
+                earlier.add(b)
+            if known is not None and b not in known:
                 raise UnknownBehaviorError(b, context=f"trace {trace_id!r}, step {index}")
         steps.append(step)
 

@@ -50,6 +50,25 @@ def table_of(dfa: BehaviorDfa):
     return {(t.source, t.behavior): (t.target, t.weight) for t in dfa.transitions}
 
 
+class TestTransition:
+    def test_a_transition_is_a_named_tuple_of_four_ints(self):
+        t = Transition(3, 7, 4, 2)
+        assert Transition._fields == ("source", "behavior", "target", "weight")
+        assert (t.source, t.behavior, t.target, t.weight) == (3, 7, 4, 2)
+        source, behavior, target, weight = t
+        assert (source, behavior, target, weight) == (3, 7, 4, 2)
+        assert t == Transition(source=3, behavior=7, target=4, weight=2) == (3, 7, 4, 2)
+        assert hash(t) == hash(Transition(3, 7, 4, 2))
+        assert t != Transition(3, 7, 4, 3)
+        assert len({t, Transition(3, 7, 4, 2), Transition(4, 7, 4, 2)}) == 2
+        with pytest.raises(AttributeError):
+            t.weight = 5
+
+    def test_is_self_loop(self):
+        assert Transition(4, 7, 4, 2).is_self_loop
+        assert not Transition(3, 7, 4, 2).is_self_loop
+
+
 class TestBuild:
     def test_seed_model_has_eleven_states_and_two_finals(self, seed_dfa):
         assert seed_dfa.state_count == 11
@@ -179,6 +198,95 @@ class TestValidate:
         )
         kinds = {i.kind for i in validate(dfa)}
         assert "determinism" in kinds
+
+    def test_duplicate_keys_apart_in_the_input_are_flagged(self, seed_dfa):
+        # Four transitions lie between the two on (0, 7), and the later one comes first.
+        dfa = BehaviorDfa(
+            state_count=5,
+            transitions=(
+                Transition(0, 7, 4, 3),
+                Transition(1, 5, 2, 3),
+                Transition(0, 5, 3, 3),
+                Transition(2, 5, 2, 3),
+                Transition(1, 7, 1, 3),
+                Transition(0, 7, 1, 3),
+            ),
+            finals=frozenset({2, 3, 4}),
+            catalog_fingerprint="0" * 64,
+            pattern_count=3,
+        )
+        (issue,) = validate(dfa)
+        assert issue.kind == "determinism"
+        assert issue.detail == "two transitions from state 0 on behavior 7"
+        doc = json.loads(serialize(seed_dfa))
+        doc["transitions"].append({"from": 0, "on": 5, "to": 10, "weight": 3})
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == (
+            "model violates structural invariants: "
+            "determinism: two transitions from state 0 on behavior 5; "
+            "not-a-trie: state 10 has 2 incoming forward transitions"
+        )
+
+    def test_duplicates_are_listed_in_tuple_order_whatever_the_file_order(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        stray = {"from": 0, "on": 7, "to": 20, "weight": 3}
+        messages = set()
+        for position in (0, len(doc["transitions"])):
+            edited = json.loads(json.dumps(doc))
+            edited["transitions"].insert(position, stray)
+            with pytest.raises(ModelFormatError) as raised:
+                deserialize(json.dumps(edited))
+            messages.add(str(raised.value))
+        assert messages == {
+            "model violates structural invariants: "
+            "determinism: two transitions from state 0 on behavior 7; "
+            "state-bounds: transition 0->20 on 7 references a state outside 0..10"
+        }
+
+    def test_every_issue_is_listed_in_order(self):
+        dfa = BehaviorDfa(
+            state_count=9,
+            transitions=(
+                Transition(4, 7, 4, 3),
+                Transition(0, 7, 1, 3),
+                Transition(2, 1, 5, 0),
+                Transition(0, 5, 2, 3),
+                Transition(1, 1, 9, 2),
+                Transition(5, 7, 2, 3),
+                Transition(1, 5, 4, 3),
+                Transition(0, 7, 3, 3),
+                Transition(4, 1, 7, 2),
+                Transition(3, 1, 7, 2),
+            ),
+            finals=frozenset({5, 6, 7, 12}),
+            catalog_fingerprint="0" * 64,
+            pattern_count=3,
+        )
+        expected = [
+            ("determinism", "two transitions from state 0 on behavior 7"),
+            ("state-bounds", "transition 1->9 on 1 references a state outside 0..8"),
+            ("bad-weight", "transition 2->5 on 1 has weight 0"),
+            ("not-a-trie", "transition 5->2 on 7 goes to a lower state id"),
+            ("state-bounds", "final state 12 outside 0..8"),
+            ("unreachable-state", "state 6 is not reachable from the initial state"),
+            ("unreachable-final", "final state 6 is unreachable from the initial state"),
+            ("not-a-trie", "state 7 has 2 incoming forward transitions"),
+            ("unreachable-state", "state 8 is not reachable from the initial state"),
+            (
+                "bad-self-loop",
+                "self-loop on state 4 is behavior 7 weight 3, "
+                "its incoming transition behavior 5 weight 3",
+            ),
+            ("no-final-ahead", "no final state is reachable from state 8"),
+        ]
+        assert [(i.kind, i.detail) for i in validate(dfa)] == expected
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(serialize(dfa))
+        listing = "; ".join(f"{kind}: {detail}" for kind, detail in expected[:10])
+        assert str(raised.value) == (
+            f"model violates structural invariants: {listing}; and 1 more"
+        )
 
     def test_unreachable_final_flagged(self):
         dfa = BehaviorDfa(

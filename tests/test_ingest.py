@@ -132,6 +132,15 @@ class TestParseErrors:
         with pytest.raises(error, match=message):
             list(parse_traces(lines, catalog))
 
+    def test_a_step_of_fifty_thousand_ids_is_checked_whole(self):
+        ids = list(range(50_000))
+        (trace,) = parse_traces(jsonl({"id": "wide", "steps": [ids]}))
+        assert trace.steps == (tuple(ids),)
+        lines = jsonl({"id": "wide", "steps": [7, ids[:-1] + [31_337]]})
+        with pytest.raises(TraceFormatError) as raised:
+            list(parse_traces(lines))
+        assert str(raised.value) == "line 1: trace 'wide': step 1 repeats behavior 31337"
+
     def test_empty_step(self, catalog):
         lines = jsonl({"id": "a", "steps": [[]]})
         with pytest.raises(TraceFormatError, match="step 0 is empty"):

@@ -1,8 +1,9 @@
 """Pinned model and report bytes: both formats are fixed byte for byte.
 
 A seeded pattern file is built with `build` and grown with `add`; the
-SHA-256 of both model files is pinned, and growing a model must write
-exactly the bytes a full rebuild writes. A seeded trace file classified
+SHA-256 of both model files and of the built model's `export-dot` output
+is pinned, and growing a model must write exactly the bytes a full
+rebuild writes. A seeded trace file classified
 against a seeded model pins the SHA-256 of the JSON and CSV reports. Any
 change to the encoders, ingest or scoring that moves a single byte fails
 here.
@@ -22,6 +23,7 @@ ADD_BATCH = 4
 
 BUILD_SHA256 = "06491f5bb12ccb7fd4bff4d4bcb940febdb97ab7a23d73077207eb5ad489e65c"
 ADDED_SHA256 = "b709f91f9ddd6af6c9f41cf18441c0a56328135f92a47885e1e77e728fc5324e"
+DOT_SHA256 = "a1e1a9ec255e928b3c5d4029284b9b8a5f66b2bb28a84813a5629af62011c691"
 
 
 def _patterns():
@@ -61,6 +63,16 @@ def test_build_and_add_write_the_pinned_bytes(tmp_path):
     assert main(["--quiet", "add", "--model", str(grown), "--patterns", batch]) == 0
     assert _sha256(grown) == ADDED_SHA256
     assert grown.read_bytes() == rebuilt.read_bytes()
+
+
+def test_export_dot_writes_the_pinned_bytes(tmp_path):
+    # Edges come out in the model's transition order, so this pins that order too.
+    model = tmp_path / "model.json"
+    dot = tmp_path / "model.dot"
+    patterns = _write(tmp_path / "all.jsonl", _patterns())
+    assert main(["--quiet", "build", "--patterns", patterns, "--out", str(model)]) == 0
+    assert main(["--quiet", "export-dot", "--model", str(model), "--out", str(dot)]) == 0
+    assert _sha256(dot) == DOT_SHA256
 
 
 TRACE_COUNT = 400
