@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from behaviordfa.classify import (
     BatchSummary,
@@ -180,6 +182,33 @@ class TestMatchPercentage:
     )
     def test_decimal_rendering(self, value, rendered):
         assert format_percent(value) == rendered
+
+    @pytest.mark.parametrize(
+        "value, rendered",
+        [
+            (Fraction("0.005"), "0"),  # half a hundredth rounds to the even 0
+            (Fraction("0.015"), "0.02"),
+            (Fraction("0.025"), "0.02"),
+            (Fraction("12.125"), "12.12"),
+            (Fraction("12.135"), "12.14"),
+            (Fraction("99.995"), "100"),
+            (Fraction("99.985"), "99.98"),
+            (Fraction(2, 3), "0.67"),
+            (Fraction(1, 8), "0.12"),
+            (Fraction(3, 8), "0.38"),
+            (Fraction("0.0049999"), "0"),
+            (Fraction("0.0050001"), "0.01"),
+        ],
+    )
+    def test_halfway_hundredths_round_to_even(self, value, rendered):
+        assert format_percent(value) == rendered
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**4))
+    def test_rendering_agrees_with_exact_rounding(self, num, den):
+        value = Fraction(num, den)
+        whole, frac = divmod(round(value * 100), 100)
+        expected = f"{whole}.{frac:02d}".rstrip("0").rstrip(".")
+        assert format_percent(value) == expected
 
 
 class TestClassify:

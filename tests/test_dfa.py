@@ -180,6 +180,21 @@ class TestAddPattern:
         assert "_by_key" in vars(grown)
 
 
+class TestStep:
+    def test_every_transition_is_found_from_its_source(self, seed_dfa):
+        for t in seed_dfa.transitions:
+            assert seed_dfa.step(t.source, t.behavior) is t
+        assert seed_dfa.step(3, 5) is None
+
+    def test_a_state_outside_the_model_has_no_transitions(self, seed_dfa):
+        # State 10 has a self-loop on 1 and state 0 edges on 5 and 7: a
+        # negative id must not wrap round to the last state's table.
+        n = seed_dfa.state_count
+        for state in (-1, -n, n, n + 1):
+            for behavior in (1, 5, 7):
+                assert seed_dfa.step(state, behavior) is None
+
+
 class TestValidate:
     def test_seed_model_is_clean(self, seed_dfa):
         assert validate(seed_dfa) == []
