@@ -24,7 +24,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .dfa import BehaviorDfa, Transition
 from .errors import InternalInvariantError, NoFinalReachableError
@@ -37,34 +37,91 @@ class Verdict(enum.Enum):
     MALIGN = "malign"
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Where a prefix walk ended and what it collected on the way."""
+def _compared_by(*fields: str):
+    """Give a result tuple the equality, hash and repr of its public fields.
+
+    The tuple also holds the model its explanation fields are read from,
+    so two results are equal when every public field is, whichever model
+    object they came from, as two frozen dataclasses of those fields are.
+    """
+
+    def decorate(cls):
+        def values(self):
+            return tuple(getattr(self, name) for name in fields)
+
+        def __eq__(self, other):
+            if type(other) is not type(self):
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __ne__(self, other):
+            equal = __eq__(self, other)
+            return equal if equal is NotImplemented else not equal
+
+        def __repr__(self):
+            shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+            return f"{cls.__name__}({shown})"
+
+        cls.__eq__, cls.__ne__, cls.__repr__ = __eq__, __ne__, __repr__
+        cls.__hash__ = lambda self: hash(values(self))
+        return cls
+
+    return decorate
+
+
+@_compared_by(
+    "end_state", "matched_transitions", "matched_weight", "consumed_steps", "diverged", "reached_final"
+)
+class MatchResult(NamedTuple):
+    """Where a prefix walk ended; its path and weight are read off the model on demand."""
 
     end_state: int
-    matched_transitions: tuple[Transition, ...]
-    matched_weight: int
     consumed_steps: int
     diverged: bool
     reached_final: bool
+    model: BehaviorDfa
+
+    @property
+    def matched_transitions(self) -> tuple[Transition, ...]:
+        """The forward edges the walk took, in order: the trie path to end_state."""
+        return self.model.path_from_initial(self.end_state)
+
+    @property
+    def matched_weight(self) -> int:
+        """The weight of matched_transitions; self-loops add none."""
+        return self.model._tables[1][self.end_state]
 
 
-@dataclass(frozen=True)
-class NearestFinal:
-    """The cheapest final state ahead of a given state.
+@_compared_by("final_state", "forward_path", "denominator_path", "denominator_weight")
+class NearestFinal(NamedTuple):
+    """The cheapest final state ahead of from_state; paths are read off the model on demand.
 
     denominator_path runs from the initial state all the way to the final;
     under trie construction it is the matched path plus forward_path.
     """
 
     final_state: int
-    forward_path: tuple[Transition, ...]
-    denominator_path: tuple[Transition, ...]
     denominator_weight: int
+    from_state: int
+    model: BehaviorDfa
+
+    @property
+    def forward_path(self) -> tuple[Transition, ...]:
+        """The forward edges from from_state to final_state, never a self-loop."""
+        nearest = self.model._tables[2]
+        forward: list[Transition] = []
+        t = nearest[self.from_state][2]
+        while t is not None:
+            forward.append(t)
+            t = nearest[t.target][2]
+        return tuple(forward)
+
+    @property
+    def denominator_path(self) -> tuple[Transition, ...]:
+        return self.model.path_from_initial(self.from_state) + self.forward_path
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict plus the full explanation payload for one trace."""
 
     trace_id: str
@@ -84,50 +141,42 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
 
     Single-behavior steps follow the one defined transition if any. For a
     multi-behavior step, the matching behavior with the largest transition
-    weight wins, ties broken by smallest behavior id. Self-loops are taken
-    without being recorded; matched_transitions holds the forward path
-    edges in traversal order. None repeats, since forward edges always
-    lead to a higher state id.
+    weight wins, ties broken by smallest behavior id. The walk keeps only
+    its state: in a trie the edges it took are the path to that state, so
+    the result reads them, and their weight, off the model when asked.
+    Self-loops consume a step and add no edge.
     """
+    out = dfa._by_key
+    finals = dfa.finals
     state = dfa.initial
-    matched: list[Transition] = []
-    weight = 0
     consumed = 0
     diverged = False
-    reached = state in dfa.finals
-    for step in trace.steps:
-        if reached:
-            break
-        transition = _choose_transition(dfa, state, step)
-        if transition is None:
-            diverged = True
-            break
-        consumed += 1
-        target = transition.target
-        if target != state:  # a self-loop consumes the step but is not recorded
-            matched.append(transition)
-            weight += transition.weight
-        state = target
-        if state in dfa.finals:
-            reached = True
-    return MatchResult(
-        end_state=state,
-        matched_transitions=tuple(matched),
-        matched_weight=weight,
-        consumed_steps=consumed,
-        diverged=diverged,
-        reached_final=reached,
-    )
-
-
-def _choose_transition(dfa, state, behaviors):
-    candidates = [t for t in (dfa.step(state, b) for b in behaviors) if t is not None]
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    # Largest weight wins; the lower behavior id settles ties.
-    return min(candidates, key=lambda t: (-t.weight, t.behavior))
+    reached = state in finals
+    if not reached:
+        for step in trace.steps:
+            if len(step) == 1:
+                transition = out[state].get(step[0])
+            else:
+                edges = out[state]
+                transition = None
+                for behavior in step:
+                    candidate = edges.get(behavior)
+                    if candidate is None:
+                        continue
+                    # Largest weight wins; the lower behavior id settles ties.
+                    if transition is None or candidate.weight > transition.weight or (
+                        candidate.weight == transition.weight and behavior < transition.behavior
+                    ):
+                        transition = candidate
+            if transition is None:
+                diverged = True
+                break
+            consumed += 1
+            state = transition.target
+            if state in finals:
+                reached = True
+                break
+    return MatchResult(state, consumed, diverged, reached, dfa)
 
 
 def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
@@ -138,25 +187,17 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     toward it; self-loops only add cost and are never taken. Ties between
     equally cheap finals go to the smallest state id. The returned
     denominator covers the whole initial-to-final path: the weight from
-    the initial state to `from_state` plus the forward cost.
+    the initial state to `from_state` plus the forward cost. The paths are
+    only built when the result's path fields are read.
     Raises NoFinalReachableError when no final is ahead.
     """
     if not 0 <= from_state < dfa.state_count:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
     _, prefix, nearest = dfa._tables
-    if nearest[from_state] is None:
+    ahead = nearest[from_state]
+    if ahead is None:
         raise NoFinalReachableError(f"no final state is reachable from state {from_state}")
-    cost, final, t = nearest[from_state]
-    forward: list[Transition] = []
-    while t is not None:
-        forward.append(t)
-        t = nearest[t.target][2]
-    return NearestFinal(
-        final_state=final,
-        forward_path=tuple(forward),
-        denominator_path=dfa.path_from_initial(from_state) + tuple(forward),
-        denominator_weight=prefix[from_state] + cost,
-    )
+    return NearestFinal(ahead[1], prefix[from_state] + ahead[0], from_state, dfa)
 
 
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
@@ -170,8 +211,15 @@ def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
 
 
 def format_percent(value: Fraction) -> str:
-    """Decimal rendering with up to two fractional digits, zeros trimmed."""
-    hundredths = round(Fraction(value) * 100)
+    """Decimal rendering with up to two fractional digits, zeros trimmed.
+
+    Rounds to the nearest hundredth, a halfway value to the even one, in
+    integer arithmetic.
+    """
+    den = value.denominator
+    hundredths, rest = divmod(100 * value.numerator, den)
+    if 2 * rest > den or (2 * rest == den and hundredths % 2):
+        hundredths += 1
     whole, frac = divmod(hundredths, 100)
     if frac == 0:
         return str(whole)
@@ -180,40 +228,29 @@ def format_percent(value: Fraction) -> str:
     return f"{whole}.{frac:02d}"
 
 
+_HUNDRED = Fraction(100)
+_ZERO = Fraction(0)
+
+
 def classify(dfa: BehaviorDfa, trace: BehaviorTrace) -> Classification:
     """Three-way verdict for one trace.
 
     Reaching a final state is malign at 100%. A walk that matched nothing
     is benign at 0%. Anything in between is partially malign, scored
-    against the nearest final state ahead of where the walk ended.
+    against the nearest final state ahead of where the walk ended. No path
+    is built here: the explanation fields read them off the model on demand.
     """
     match = match_prefix(dfa, trace)
     if match.reached_final:
-        return Classification(
-            trace_id=trace.trace_id,
-            label=trace.label,
-            verdict=Verdict.MALIGN,
-            match_percentage=Fraction(100),
-            match=match,
-            nearest=nearest_final(dfa, match.end_state),
-        )
-    if match.matched_weight == 0:
-        return Classification(
-            trace_id=trace.trace_id,
-            label=trace.label,
-            verdict=Verdict.BENIGN,
-            match_percentage=Fraction(0),
-            match=match,
-            nearest=None,
-        )
+        nearest = nearest_final(dfa, match.end_state)
+        return Classification(trace.trace_id, trace.label, Verdict.MALIGN, _HUNDRED, match, nearest)
+    matched_weight = match.matched_weight
+    if matched_weight == 0:
+        return Classification(trace.trace_id, trace.label, Verdict.BENIGN, _ZERO, match, None)
     nearest = nearest_final(dfa, match.end_state)
+    percentage = match_percentage(matched_weight, nearest.denominator_weight)
     return Classification(
-        trace_id=trace.trace_id,
-        label=trace.label,
-        verdict=Verdict.PARTIALLY_MALIGN,
-        match_percentage=match_percentage(match.matched_weight, nearest.denominator_weight),
-        match=match,
-        nearest=nearest,
+        trace.trace_id, trace.label, Verdict.PARTIALLY_MALIGN, percentage, match, nearest
     )
 
 
@@ -334,6 +371,8 @@ def classify_batch(
 def classification_record(item: Classification) -> dict:
     """JSON-ready record for one classified trace."""
     pct = item.match_percentage
+    matched = [t.behavior for t in item.match.matched_transitions]
+    nearest = item.nearest
     return {
         "id": item.trace_id,
         "label": item.label,
@@ -341,10 +380,11 @@ def classification_record(item: Classification) -> dict:
         "match_percentage": format_percent(pct),
         "match_fraction": {"num": pct.numerator, "den": pct.denominator},
         "end_state": item.match.end_state,
-        "matched_behaviors": [t.behavior for t in item.match.matched_transitions],
-        "nearest_final_state": item.nearest.final_state if item.nearest else None,
+        "matched_behaviors": matched,
+        "nearest_final_state": nearest.final_state if nearest else None,
+        # The denominator path is the matched path carried on to the nearest final.
         "denominator_path_behaviors": (
-            [t.behavior for t in item.nearest.denominator_path] if item.nearest else None
+            matched + [t.behavior for t in nearest.forward_path] if nearest else None
         ),
     }
 

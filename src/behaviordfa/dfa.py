@@ -86,8 +86,8 @@ class BehaviorDfa:
     check. Lookups rely on the trie shape that validate() checks:
     forward transitions go to higher state ids, and every state but the
     initial one has exactly one incoming forward transition. The lookup
-    indexes, _by_key for step() and _tables for the per-state facts, are
-    built on first use.
+    indexes, the per-state out-table _by_key for step() and the prefix
+    walk and _tables for the per-state facts, are built on first use.
     """
 
     state_count: int
@@ -102,9 +102,14 @@ class BehaviorDfa:
         object.__setattr__(self, "finals", frozenset(self.finals))
 
     @cached_property
-    def _by_key(self) -> dict[tuple[int, int], Transition]:
-        """Every transition keyed by (source, behavior)."""
-        return {(t.source, t.behavior): t for t in self.transitions}
+    def _by_key(self) -> list[dict[int, Transition]]:
+        """The out-table: entry s maps each behavior to the transition out of state s on it."""
+        n = self.state_count
+        out: list[dict[int, Transition]] = [{} for _ in range(n)]
+        for t in self.transitions:
+            if 0 <= t.source < n:  # only an unvalidated model has other sources; no walk reaches them
+                out[t.source][t.behavior] = t
+        return out
 
     @cached_property
     def _tables(self) -> tuple[list, list, list]:
@@ -140,7 +145,9 @@ class BehaviorDfa:
 
     def step(self, state: int, behavior: int) -> Transition | None:
         """The unique transition out of `state` on `behavior`, if defined."""
-        return self._by_key.get((state, behavior))
+        if 0 <= state < self.state_count:
+            return self._by_key[state].get(behavior)
+        return None
 
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
         """The unique non-self-loop path from the initial state to `state`."""

@@ -257,6 +257,53 @@ class TestClassify:
         trace = make_trace([7, 5, 1, 1, 7])
         assert classify(seed_dfa, trace) == classify(seed_dfa, trace)
 
+    def test_classify_builds_no_path(self, seed_dfa, monkeypatch):
+        calls = []
+        original = BehaviorDfa.path_from_initial
+
+        def spy(self, state):
+            calls.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(BehaviorDfa, "path_from_initial", spy)
+        traces = {
+            Verdict.MALIGN: make_trace(PATTERN_A),
+            Verdict.PARTIALLY_MALIGN: make_trace([7, 5, 1, 1]),
+            Verdict.BENIGN: make_trace([9, 7]),
+        }
+        outcomes = {verdict: classify(seed_dfa, t) for verdict, t in traces.items()}
+        diverged = classify(seed_dfa, make_trace([5, 1, [7, 11], 5]))
+        assert calls == []
+        for verdict, outcome in outcomes.items():
+            assert outcome.verdict is verdict
+        assert diverged.match.diverged and diverged.verdict is Verdict.PARTIALLY_MALIGN
+        # Reading an explanation field is what builds a path.
+        assert [t.behavior for t in diverged.match.matched_transitions] == [5, 1]
+        assert [t.behavior for t in diverged.nearest.denominator_path] == [5, 1, 5, 1]
+        assert calls == [8, 8]
+
+    def test_results_are_immutable_values(self, seed_dfa, seed_patterns, catalog):
+        outcome = classify(seed_dfa, make_trace([7, 5]))
+        for obj, field in [
+            (outcome, "verdict"),
+            (outcome, "percent_display"),
+            (outcome.match, "end_state"),
+            (outcome.match, "matched_transitions"),
+            (outcome.match, "matched_weight"),
+            (outcome.nearest, "final_state"),
+            (outcome.nearest, "forward_path"),
+            (outcome.nearest, "denominator_path"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+        # Equal models give equal, equally hashed results: the model object does not count.
+        rebuilt = build_dfa(seed_patterns, catalog)
+        again = classify(rebuilt, make_trace([7, 5]))
+        assert rebuilt is not seed_dfa and again == outcome and hash(again) == hash(outcome)
+        assert not again != outcome
+        assert again.match != classify(seed_dfa, make_trace([7])).match
+        assert "matched_transitions=(Transition(source=0, behavior=7" in repr(outcome.match)
+
 
 class TestClassifyBatch:
     def test_counts_and_histogram(self, seed_dfa):
