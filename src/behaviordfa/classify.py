@@ -11,10 +11,15 @@ with the weight of the cheapest initial-to-final path extending it:
 The model is a trie, so the walk's edges are the unique path to its end
 state and the denominator is a lookup: the model derives once, per
 state, the weight from the initial state and the cost of the cheapest
-final ahead. Self-loop traversals consume input but add no weight on
-either side of the ratio, so a behavior repeated eight times scores the
-same as one repeated twice. Percentages are exact rationals end to end; decimal
-strings appear only at the output boundary.
+final ahead. The walk therefore tracks only its state, one out-table
+lookup per step, and classify() builds no path: the explanation fields
+of a result (matched_transitions, matched_weight, forward_path,
+denominator_path) are read off the model's tables when a caller reads
+them. Results are named tuples that carry the model, immutable and
+compared by their public fields. Self-loop traversals consume input but
+add no weight on either side of the ratio, so a behavior repeated eight
+times scores the same as one repeated twice. Percentages are exact
+rationals end to end; decimal strings appear only at the output boundary.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .dfa import BehaviorDfa, Transition
@@ -46,20 +52,16 @@ def _compared_by(*fields: str):
     """
 
     def decorate(cls):
-        def values(self):
-            return tuple(getattr(self, name) for name in fields)
+        values = attrgetter(*fields)
 
         def __eq__(self, other):
-            if type(other) is not type(self):
-                return NotImplemented
-            return values(self) == values(other)
+            return values(self) == values(other) if type(other) is type(self) else NotImplemented
 
         def __ne__(self, other):
-            equal = __eq__(self, other)
-            return equal if equal is NotImplemented else not equal
+            return values(self) != values(other) if type(other) is type(self) else NotImplemented
 
         def __repr__(self):
-            shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+            shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
             return f"{cls.__name__}({shown})"
 
         cls.__eq__, cls.__ne__, cls.__repr__ = __eq__, __ne__, __repr__
