@@ -47,27 +47,34 @@ DEFAULT_ENTRIES: tuple[BehaviorSpec, ...] = (
 _ENTRY_KEYS = {"id", "name", "weight"}
 
 
-def _check_spec(spec: BehaviorSpec) -> None:
+def _check_spec(spec: BehaviorSpec, where: str) -> None:
     if isinstance(spec.id, bool) or not isinstance(spec.id, int) or spec.id < 0:
-        raise CatalogError(f"behavior id must be a non-negative integer, got {spec.id!r}")
+        raise CatalogError(f"{where}: behavior id must be a non-negative integer, got {spec.id!r}")
     if not isinstance(spec.name, str) or not spec.name:
-        raise CatalogError(f"behavior {spec.id}: name must be a non-empty string")
+        raise CatalogError(f"{where}: behavior {spec.id}: name must be a non-empty string")
     if isinstance(spec.weight, bool) or not isinstance(spec.weight, int) or spec.weight < 1:
-        raise CatalogError(f"behavior {spec.id} ({spec.name!r}): non-positive weight {spec.weight!r}")
+        raise CatalogError(
+            f"{where}: behavior {spec.id} ({spec.name!r}): non-positive weight {spec.weight!r}"
+        )
 
 
 class BehaviorCatalog:
-    """Immutable registry of behaviors, indexable by id and by name."""
+    """Immutable registry of behaviors, indexable by id and by name.
+
+    The constructor is the one place entries are checked; an error names
+    the entry by its 1-based position, as `entry 3: ...`.
+    """
 
     def __init__(self, entries: Iterable[BehaviorSpec]):
         by_id: dict[int, BehaviorSpec] = {}
         by_name: dict[str, BehaviorSpec] = {}
-        for spec in entries:
-            _check_spec(spec)
+        for position, spec in enumerate(entries, start=1):
+            where = f"entry {position}"
+            _check_spec(spec, where)
             if spec.id in by_id:
-                raise CatalogError(f"duplicate behavior id {spec.id}")
+                raise CatalogError(f"{where}: duplicate behavior id {spec.id}")
             if spec.name in by_name:
-                raise CatalogError(f"duplicate behavior name {spec.name!r}")
+                raise CatalogError(f"{where}: duplicate behavior name {spec.name!r}")
             by_id[spec.id] = spec
             by_name[spec.name] = spec
         self._by_id = by_id
@@ -148,23 +155,16 @@ def load_catalog(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorCatal
 
     The file must be a UTF-8 JSON array of ``{"id", "name", "weight"}``
     objects; extra keys are rejected. Errors name the offending entry.
+    Entry shapes are checked here and values in the constructor, which
+    pulls the entries one at a time, so errors are found in file order.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CatalogError(f"catalog file is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(source)
-    except ValueError as exc:
-        raise CatalogError(f"catalog file is not valid JSON: {exc}") from exc
+    doc = _read_json(source, CatalogError, "catalog")
     if not isinstance(doc, list):
         raise CatalogError("catalog file must be a top-level JSON array")
-    specs: list[BehaviorSpec] = []
-    seen_ids: set[int] = set()
-    seen_names: set[str] = set()
+    return BehaviorCatalog(_entries(doc))
+
+
+def _entries(doc: list) -> Iterator[BehaviorSpec]:
     for position, raw in enumerate(doc, start=1):
         where = f"entry {position}"
         if not isinstance(raw, dict):
@@ -175,16 +175,19 @@ def load_catalog(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorCatal
         missing = _ENTRY_KEYS - set(raw)
         if missing:
             raise CatalogError(f"{where}: missing keys {sorted(missing)}")
-        spec = BehaviorSpec(raw["id"], raw["name"], raw["weight"])
+        yield BehaviorSpec(raw["id"], raw["name"], raw["weight"])
+
+
+def _read_json(source, error: type[Exception], what: str):
+    """The JSON document in bytes, text or a file of either; failures raise `error`."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, (bytes, bytearray)):
         try:
-            _check_spec(spec)
-        except CatalogError as exc:
-            raise CatalogError(f"{where}: {exc}") from None
-        if spec.id in seen_ids:
-            raise CatalogError(f"{where}: duplicate behavior id {spec.id}")
-        if spec.name in seen_names:
-            raise CatalogError(f"{where}: duplicate behavior name {spec.name!r}")
-        seen_ids.add(spec.id)
-        seen_names.add(spec.name)
-        specs.append(spec)
-    return BehaviorCatalog(specs)
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} file is not valid UTF-8: {exc}") from exc
+    try:
+        return json.loads(source)
+    except ValueError as exc:
+        raise error(f"{what} file is not valid JSON: {exc}") from exc

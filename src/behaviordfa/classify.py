@@ -91,7 +91,7 @@ class MatchResult(NamedTuple):
     @property
     def matched_weight(self) -> int:
         """The weight of matched_transitions; self-loops add none."""
-        return self.model._tables[1][self.end_state]
+        return self.model._tables[2][self.end_state]
 
 
 @_compared_by("final_state", "forward_path", "denominator_path", "denominator_weight")
@@ -110,7 +110,7 @@ class NearestFinal(NamedTuple):
     @property
     def forward_path(self) -> tuple[Transition, ...]:
         """The forward edges from from_state to final_state, never a self-loop."""
-        nearest = self.model._tables[2]
+        nearest = self.model._tables[3]
         forward: list[Transition] = []
         t = nearest[self.from_state][2]
         while t is not None:
@@ -148,7 +148,7 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     the result reads them, and their weight, off the model when asked.
     Self-loops consume a step and add no edge.
     """
-    out = dfa._by_key
+    out = dfa._tables[0]
     finals = dfa.finals
     state = dfa.initial
     consumed = 0
@@ -195,7 +195,7 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     """
     if not 0 <= from_state < dfa.state_count:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
-    _, prefix, nearest = dfa._tables
+    _, _, prefix, nearest = dfa._tables
     ahead = nearest[from_state]
     if ahead is None:
         raise NoFinalReachableError(f"no final state is reachable from state {from_state}")
@@ -336,7 +336,7 @@ class BatchSummary:
 def _percent_key(value: Fraction) -> str:
     # Exact rationals stay distinct even when two of them would round to
     # the same two-digit decimal.
-    if value == Fraction(round(value * 100), 100):
+    if 100 * value.numerator % value.denominator == 0:
         return format_percent(value)
     return f"{value.numerator}/{value.denominator}"
 

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 user/input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import tempfile
@@ -25,8 +24,6 @@ from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_
 from .dfa import add_pattern, build_dfa, check_catalog, deserialize, export_dot, serialize
 from .errors import EngineError, InternalInvariantError, PatternError
 from .ingest import parse_traces, scan_traces
-
-logger = logging.getLogger("behaviordfa")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +41,7 @@ def _build_parser() -> _Parser:
     )
     volume = parser.add_mutually_exclusive_group()
     volume.add_argument("--quiet", action="store_true", help="suppress summary output")
-    volume.add_argument("--verbose", action="store_true", help="enable debug logging")
+    volume.add_argument("--verbose", action="store_true", help="print internal-error tracebacks")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     build = sub.add_parser("build", help="build a model from malicious patterns")
@@ -77,11 +74,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     handlers = {
         "build": _cmd_build,
         "add": _cmd_add,
@@ -90,18 +82,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # never surface a raw traceback
-        logger.debug("unexpected failure", exc_info=True)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug: no raw traceback unless asked for
+        if args.verbose:
+            import traceback  # only this branch needs it
+            traceback.print_exc()
+        kind = "" if isinstance(exc, InternalInvariantError) else f"{type(exc).__name__}: "
+        print(f"internal error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

@@ -13,11 +13,12 @@ can never be silently combined with a different weight table. A
 transition is a named tuple (source, behavior, target, weight), so
 transitions sort, compare and unpack as plain tuples.
 
-Models are immutable values: add_pattern() returns a new model that is
-bit-for-bit what a full rebuild with the extended pattern list would
-produce, including state numbering. Lookup indexes are built on first
-use, so build and add, which make one model per pattern, never pay for
-them.
+Models are immutable values. build_dfa() grows the empty model by its
+patterns and add_pattern() grows a given model by one more, along the
+same path, so the result is bit-for-bit what a full rebuild with the
+extended pattern list would produce, including state numbering. The
+one per-state lookup index is built on first use, so build and add,
+which make one model per pattern, never pay for it.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
 writes it from string templates, and deserialize() checks every field,
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, NamedTuple, Union
 
-from .catalog import BehaviorCatalog
+from .catalog import BehaviorCatalog, _read_json
 from .errors import (
     CatalogMismatchError,
     InternalInvariantError,
@@ -85,9 +86,9 @@ class BehaviorDfa:
     share a (source, behavior) are neighbours for validate()'s determinism
     check. Lookups rely on the trie shape that validate() checks:
     forward transitions go to higher state ids, and every state but the
-    initial one has exactly one incoming forward transition. The lookup
-    indexes, the per-state out-table _by_key for step() and the prefix
-    walk and _tables for the per-state facts, are built on first use.
+    initial one has exactly one incoming forward transition. The one
+    lookup index, _tables, holds every per-state fact that step(), the
+    prefix walk and the nearest-final lookup read; it is built on first use.
     """
 
     state_count: int
@@ -102,42 +103,38 @@ class BehaviorDfa:
         object.__setattr__(self, "finals", frozenset(self.finals))
 
     @cached_property
-    def _by_key(self) -> list[dict[int, Transition]]:
-        """The out-table: entry s maps each behavior to the transition out of state s on it."""
-        n = self.state_count
-        out: list[dict[int, Transition]] = [{} for _ in range(n)]
-        for t in self.transitions:
-            if 0 <= t.source < n:  # only an unvalidated model has other sources; no walk reaches them
-                out[t.source][t.behavior] = t
-        return out
+    def _tables(self) -> tuple[list, list, list, list]:
+        """The one per-state index (out, parent, prefix, nearest), indexed by state id.
 
-    @cached_property
-    def _tables(self) -> tuple[list, list, list]:
-        """Per-state (parent, prefix, nearest), indexed by state id.
-
+        out maps each behavior to the transition out of the state on it,
         parent is the forward transition into the state (None for state 0),
         prefix the weight from the initial state, and nearest the cheapest
         final at or ahead of the state as (cost, final, first forward
         transition toward it, None at a final), ties to the lowest final id,
-        or None when no final is ahead.
+        or None when no final is ahead. A transition with an end outside
+        the model, which only an unvalidated model has, is left out.
         """
         n = self.state_count
-        forward = [t for t in self.transitions if t.source != t.target]
+        out: list[dict[int, Transition]] = [{} for _ in range(n)]
         parent: list = [None] * n
         prefix = [0] * n
-        for t in forward:  # ascending sources: a state's prefix is set before its children's
-            source, _, target, weight = t
-            parent[target] = t
-            prefix[target] = prefix[source] + weight
+        for t in self.transitions:  # ascending sources: each prefix is set before a child reads it
+            source, behavior, target, weight = t
+            if 0 <= source < n and 0 <= target < n:
+                out[source][behavior] = t
+                if source != target:
+                    parent[target] = t
+                    prefix[target] = prefix[source] + weight
         nearest: list = [(0, s, None) if s in self.finals else None for s in range(n)]
-        for t in reversed(forward):  # descending sources: children are settled first
-            ahead = nearest[t.target]
-            if ahead is not None:
+        for s in range(n - 1, 0, -1):  # descending: children have higher ids and settle first
+            t = parent[s]
+            ahead = nearest[s]
+            if t is not None and ahead is not None:
                 best = nearest[t.source]
                 cost = ahead[0] + t.weight
                 if best is None or (cost, ahead[1]) < best[:2]:
                     nearest[t.source] = (cost, ahead[1], t)
-        return parent, prefix, nearest
+        return out, parent, prefix, nearest
 
     @property
     def initial(self) -> int:
@@ -146,12 +143,12 @@ class BehaviorDfa:
     def step(self, state: int, behavior: int) -> Transition | None:
         """The unique transition out of `state` on `behavior`, if defined."""
         if 0 <= state < self.state_count:
-            return self._by_key[state].get(behavior)
+            return self._tables[0][state].get(behavior)
         return None
 
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
         """The unique non-self-loop path from the initial state to `state`."""
-        parent = self._tables[0]
+        parent = self._tables[1]
         path: list[Transition] = []
         current = state
         while current != 0:
@@ -176,18 +173,7 @@ def build_dfa(patterns: Iterable[BehaviorTrace], catalog: BehaviorCatalog) -> Be
     pats = list(patterns)
     if not pats:
         raise PatternError("no patterns to build from")
-    transitions: dict[tuple[int, int], Transition] = {}
-    finals: set[int] = set()
-    count = 1
-    for pattern in pats:
-        count = _insert_pattern(transitions, finals, count, pattern, catalog)
-    return BehaviorDfa(
-        state_count=count,
-        transitions=tuple(transitions.values()),
-        finals=frozenset(finals),
-        catalog_fingerprint=catalog.fingerprint(),
-        pattern_count=len(pats),
-    )
+    return _grow(BehaviorDfa(1, (), frozenset(), catalog.fingerprint(), 0), pats, catalog)
 
 
 def check_catalog(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> None:
@@ -209,16 +195,7 @@ def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatal
     the one the model was built with.
     """
     check_catalog(dfa, catalog)
-    transitions = {(t.source, t.behavior): t for t in dfa.transitions}
-    finals = set(dfa.finals)
-    count = _insert_pattern(transitions, finals, dfa.state_count, pattern, catalog)
-    return BehaviorDfa(
-        state_count=count,
-        transitions=tuple(transitions.values()),
-        finals=frozenset(finals),
-        catalog_fingerprint=dfa.catalog_fingerprint,
-        pattern_count=dfa.pattern_count + 1,
-    )
+    return _grow(dfa, [pattern], catalog)
 
 
 def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:
@@ -235,33 +212,45 @@ def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:
     return flat
 
 
-def _insert_pattern(transitions, finals, count, pattern, catalog):
-    state = 0
-    for behavior, length in compress_runs(_flatten_pattern(pattern)):
-        try:
-            weight = catalog.weight_of(behavior)
-        except UnknownBehaviorError:
-            raise UnknownBehaviorError(behavior, context=f"pattern {pattern.trace_id!r}") from None
-        key = (state, behavior)
-        existing = transitions.get(key)
-        if existing is None:
-            nxt = count
-            count += 1
-            transitions[key] = Transition(state, behavior, nxt, weight)
-        else:
-            nxt = existing.target
-            if nxt == state:
-                # Run-compressed input can never follow a self-loop forward.
-                raise InternalInvariantError(
-                    f"adjacent runs share behavior {behavior} at state {state}"
-                )
-        if length > 1:
-            loop_key = (nxt, behavior)
-            if loop_key not in transitions:
-                transitions[loop_key] = Transition(nxt, behavior, nxt, weight)
-        state = nxt
-    finals.add(state)
-    return count
+def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
+    """`base` grown by `patterns`, inserted in order; new states are numbered on from base's."""
+    transitions = {(t.source, t.behavior): t for t in base.transitions}
+    finals = set(base.finals)
+    count = base.state_count
+    for pattern in patterns:
+        state = 0
+        for behavior, length in compress_runs(_flatten_pattern(pattern)):
+            try:
+                weight = catalog.weight_of(behavior)
+            except UnknownBehaviorError:
+                context = f"pattern {pattern.trace_id!r}"
+                raise UnknownBehaviorError(behavior, context=context) from None
+            key = (state, behavior)
+            existing = transitions.get(key)
+            if existing is None:
+                nxt = count
+                count += 1
+                transitions[key] = Transition(state, behavior, nxt, weight)
+            else:
+                nxt = existing.target
+                if nxt == state:
+                    # Run-compressed input can never follow a self-loop forward.
+                    raise InternalInvariantError(
+                        f"adjacent runs share behavior {behavior} at state {state}"
+                    )
+            if length > 1:
+                loop_key = (nxt, behavior)
+                if loop_key not in transitions:
+                    transitions[loop_key] = Transition(nxt, behavior, nxt, weight)
+            state = nxt
+        finals.add(state)
+    return BehaviorDfa(
+        state_count=count,
+        transitions=tuple(transitions.values()),
+        finals=frozenset(finals),
+        catalog_fingerprint=base.catalog_fingerprint,
+        pattern_count=base.pattern_count + len(patterns),
+    )
 
 
 @dataclass(frozen=True)
@@ -384,17 +373,7 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
 
     A rejection names its place, e.g. `transition 12: "weight"` or `finals[3]`.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"model file is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(source)
-    except ValueError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+    doc = _read_json(source, ModelFormatError, "model")
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
 

@@ -104,6 +104,24 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError):
             load([entry(1, "A", True)])
 
+    def test_errors_are_found_in_file_order(self):
+        # Entry 1's value is checked before entry 2's shape is looked at.
+        expected = r"^entry 1: behavior 1 \('A'\): non-positive weight 0$"
+        with pytest.raises(CatalogError, match=expected):
+            load([entry(1, "A", 0), {"id": 2, "name": "B", "weight": 1, "severity": "high"}])
+
+
+class TestConstructor:
+    def test_duplicate_id_names_the_entry(self):
+        with pytest.raises(CatalogError, match=r"^entry 2: duplicate behavior id 1$"):
+            BehaviorCatalog([BehaviorSpec(1, "A", 1), BehaviorSpec(1, "B", 2)])
+
+    def test_bad_weight_names_the_entry(self):
+        specs = [BehaviorSpec(1, "A", 1), BehaviorSpec(2, "B", 1), BehaviorSpec(3, "C", 0)]
+        expected = r"^entry 3: behavior 3 \('C'\): non-positive weight 0$"
+        with pytest.raises(CatalogError, match=expected):
+            BehaviorCatalog(specs)
+
 
 class TestLookup:
     def test_unknown_id_error_carries_the_id(self, catalog):

@@ -16,6 +16,7 @@ from behaviordfa.classify import (
     classification_record,
     classify,
     classify_batch,
+    _percent_key,
     classify_stream,
     format_percent,
     match_percentage,
@@ -209,6 +210,13 @@ class TestMatchPercentage:
         whole, frac = divmod(round(value * 100), 100)
         expected = f"{whole}.{frac:02d}".rstrip("0").rstrip(".")
         assert format_percent(value) == expected
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**4))
+    def test_histogram_key_agrees_with_the_fraction_test(self, num, den):
+        value = Fraction(num, den)
+        exact = value == Fraction(round(value * 100), 100)
+        expected = format_percent(value) if exact else f"{value.numerator}/{value.denominator}"
+        assert _percent_key(value) == expected
 
 
 class TestClassify:

@@ -12,6 +12,7 @@ import pytest
 from behaviordfa.catalog import default_catalog
 from behaviordfa.cli import main
 from behaviordfa.dfa import BehaviorDfa, Transition, deserialize, serialize
+from behaviordfa.errors import InternalInvariantError
 
 from helpers import PATTERN_A, PATTERN_B
 
@@ -433,3 +434,35 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         assert "states=11" in proc.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+            (InternalInvariantError("broken"), "internal error: broken\n"),
+        ],
+    )
+    def test_a_bug_exits_two_with_a_traceback_only_under_verbose(
+        self, pattern_file, monkeypatch, capsys, exc, line, verbose
+    ):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr("behaviordfa.cli._cmd_build", fail)
+        flags = ["--verbose"] if verbose else []
+        assert main(flags + ["build", "--patterns", str(pattern_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(line)
+        assert ("Traceback (most recent call last)" in err) == verbose
+
+    def test_import_leaves_logging_unloaded(self):
+        # Importing logging costs milliseconds of start-up that every command pays.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, behaviordfa.cli; print('logging' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

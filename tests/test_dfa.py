@@ -174,10 +174,10 @@ class TestAddPattern:
 
     def test_lookup_indexes_are_built_on_first_use(self, catalog, seed_patterns):
         grown = add_pattern(build_dfa(seed_patterns[:1], catalog), seed_patterns[1], catalog)
-        assert "_by_key" not in vars(grown) and "_tables" not in vars(grown)
+        assert "_tables" not in vars(grown)
         assert grown.step(0, 5) == Transition(0, 5, 7, 3)
         assert grown.step(0, 1) is None
-        assert "_by_key" in vars(grown)
+        assert "_tables" in vars(grown)
 
 
 class TestStep:
@@ -193,6 +193,14 @@ class TestStep:
         for state in (-1, -n, n, n + 1):
             for behavior in (1, 5, 7):
                 assert seed_dfa.step(state, behavior) is None
+
+    def test_a_transition_leaving_the_model_is_not_indexed(self):
+        # Only a hand-built model has one; validate() rejects it on load.
+        inside, outside = Transition(0, 1, 1, 2), Transition(0, 2, 9, 1)
+        dfa = BehaviorDfa(2, (inside, outside), frozenset({1}), "0" * 64, 1)
+        assert dfa.step(0, 1) is inside
+        assert dfa.step(0, 2) is None
+        assert dfa.path_from_initial(1) == (inside,)
 
 
 class TestValidate:
