@@ -187,6 +187,11 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    # The report file is truncated on open, before any input is read.
+    if args.out is not None and os.path.exists(args.out):
+        for flag, path in (("--traces", args.traces), ("--model", args.model)):
+            if os.path.exists(path) and os.path.samefile(args.out, path):
+                raise FileExistsError(f"--out {args.out} is the {flag} file; not overwriting it")
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
     catalog = None

@@ -16,9 +16,11 @@ transitions sort, compare and unpack as plain tuples.
 Models are immutable values. build_dfa() grows the empty model by its
 patterns and add_pattern() grows a given model by one more, along the
 same path, so the result is bit-for-bit what a full rebuild with the
-extended pattern list would produce, including state numbering. The
-one per-state lookup index is built on first use, so build and add,
-which make one model per pattern, never pay for it.
+extended pattern list would produce, including state numbering. Growing
+never copies the base model: its edges are found by bisection in its
+sorted transitions, so an add costs O(pattern * log model) lookups plus
+one C-level copy and merge of the sorted edges. The one per-state lookup
+index is built on first use, so build and add never pay for it.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
 writes it from string templates, and deserialize() checks every field,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, NamedTuple, Union
@@ -213,8 +216,16 @@ def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:
 
 
 def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
-    """`base` grown by `patterns`, inserted in order; new states are numbered on from base's."""
-    transitions = {(t.source, t.behavior): t for t in base.transitions}
+    """`base` grown by `patterns`, inserted in order; new states are numbered on from base's.
+
+    Base is never copied: its edges are found by bisection in its sorted
+    transitions, and only the edges this call adds go in a dict, so the
+    cost is O(pattern * log model) lookups plus one copy and merge of the
+    sorted edges. Growing the empty model, as build_dfa() does, never bisects.
+    """
+    edges = base.transitions
+    searched = base.state_count if edges else 0  # only states below this have edges in base
+    added: dict[tuple[int, int], Transition] = {}
     finals = set(base.finals)
     count = base.state_count
     for pattern in patterns:
@@ -226,11 +237,13 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
                 context = f"pattern {pattern.trace_id!r}"
                 raise UnknownBehaviorError(behavior, context=context) from None
             key = (state, behavior)
-            existing = transitions.get(key)
+            existing = added.get(key)
+            if existing is None and state < searched:
+                existing = _edge_in(edges, key)
             if existing is None:
                 nxt = count
                 count += 1
-                transitions[key] = Transition(state, behavior, nxt, weight)
+                added[key] = Transition(state, behavior, nxt, weight)
             else:
                 nxt = existing.target
                 if nxt == state:
@@ -238,19 +251,25 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
                     raise InternalInvariantError(
                         f"adjacent runs share behavior {behavior} at state {state}"
                     )
-            if length > 1:
-                loop_key = (nxt, behavior)
-                if loop_key not in transitions:
-                    transitions[loop_key] = Transition(nxt, behavior, nxt, weight)
+            if length > 1 and (nxt >= searched or _edge_in(edges, (nxt, behavior)) is None):
+                added[nxt, behavior] = Transition(nxt, behavior, nxt, weight)
             state = nxt
         finals.add(state)
     return BehaviorDfa(
         state_count=count,
-        transitions=tuple(transitions.values()),
+        transitions=edges + tuple(added.values()),  # the constructor's sort merges the tail in
         finals=frozenset(finals),
         catalog_fingerprint=base.catalog_fingerprint,
         pattern_count=base.pattern_count + len(patterns),
     )
+
+
+def _edge_in(edges: tuple[Transition, ...], key: tuple[int, int]) -> Transition | None:
+    """The transition of sorted `edges` on (source, behavior) `key`, if there is one."""
+    i = bisect_left(edges, key)  # a 2-tuple sorts before every 4-tuple it prefixes
+    if i < len(edges) and edges[i][:2] == key:
+        return edges[i]
+    return None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import json
 import random
 from fractions import Fraction
 
-from behaviordfa.dfa import MODEL_VERSION, BehaviorDfa
+from behaviordfa.dfa import MODEL_VERSION, BehaviorDfa, Transition, _flatten_pattern
+from behaviordfa.errors import InternalInvariantError, UnknownBehaviorError
+from behaviordfa.ingest import compress_runs
 
 from helpers import make_trace
 
@@ -111,6 +113,46 @@ def oracle_classify(dfa: BehaviorDfa, steps):
     denominator = oracle_prefix_weight(dfa, end) + forward_cost
     pct = Fraction(100 * matched_weight, denominator)
     return "partially_malign", pct, end, matched_weight, final, denominator
+
+
+def oracle_grow(base: BehaviorDfa, patterns, catalog) -> BehaviorDfa:
+    """`base` grown by `patterns` through a dict of every transition, copied up front."""
+    transitions = {(t.source, t.behavior): t for t in base.transitions}
+    finals = set(base.finals)
+    count = base.state_count
+    for pattern in patterns:
+        state = 0
+        for behavior, length in compress_runs(_flatten_pattern(pattern)):
+            try:
+                weight = catalog.weight_of(behavior)
+            except UnknownBehaviorError:
+                context = f"pattern {pattern.trace_id!r}"
+                raise UnknownBehaviorError(behavior, context=context) from None
+            key = (state, behavior)
+            existing = transitions.get(key)
+            if existing is None:
+                nxt = count
+                count += 1
+                transitions[key] = Transition(state, behavior, nxt, weight)
+            else:
+                nxt = existing.target
+                if nxt == state:
+                    raise InternalInvariantError(
+                        f"adjacent runs share behavior {behavior} at state {state}"
+                    )
+            if length > 1:
+                loop_key = (nxt, behavior)
+                if loop_key not in transitions:
+                    transitions[loop_key] = Transition(nxt, behavior, nxt, weight)
+            state = nxt
+        finals.add(state)
+    return BehaviorDfa(
+        state_count=count,
+        transitions=tuple(transitions.values()),
+        finals=frozenset(finals),
+        catalog_fingerprint=base.catalog_fingerprint,
+        pattern_count=base.pattern_count + len(patterns),
+    )
 
 
 def oracle_serialize(dfa: BehaviorDfa) -> bytes:

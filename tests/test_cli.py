@@ -244,6 +244,19 @@ class TestClassify:
         lines = report.read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0])["verdict"] == "malign"
 
+    @pytest.mark.parametrize("clash", ["--traces", "--model"])
+    def test_out_that_names_an_input_is_refused(self, tmp_path, model_file, capsys, clash):
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": PATTERN_B}])
+        inputs = {"--traces": traces, "--model": model_file}
+        before = {flag: path.read_bytes() for flag, path in inputs.items()}
+        argv = ["classify", "--model", str(model_file), "--traces", str(traces)]
+        code = main(argv + ["--out", str(inputs[clash])])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"is the {clash} file" in captured.err
+        assert captured.out == ""
+        assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
+
     def test_empty_traces_file(self, tmp_path, model_file, capsys):
         traces = tmp_path / "empty.jsonl"
         traces.write_text("", encoding="utf-8")

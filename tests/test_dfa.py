@@ -150,6 +150,13 @@ class TestAddPattern:
         assert again.finals == seed_dfa.finals
         assert again.state_count == seed_dfa.state_count
 
+    def test_re_adding_a_pattern_that_loops_on_the_highest_state_adds_nothing(
+        self, seed_dfa, seed_patterns, catalog
+    ):
+        # Pattern B ends in a run of 1s: a self-loop on state 10, the highest id.
+        again = add_pattern(seed_dfa, seed_patterns[1], catalog)
+        assert again.transitions == seed_dfa.transitions
+
     def test_adding_a_prefix_marks_an_interior_state_final(self, seed_dfa, seed_patterns, catalog):
         grown = add_pattern(seed_dfa, make_trace([5, 1], "stub"), catalog)
         assert 8 in grown.finals

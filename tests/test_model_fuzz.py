@@ -6,7 +6,8 @@ differ from the catalog's, or finals on inner states. Here a strategy
 writes such model documents by hand, then optionally corrupts one field,
 the finals or the state count. Each document must either be rejected
 with ModelFormatError, or classify every generated trace exactly as the
-enumerating reference in oracle.py does, without any other error.
+enumerating reference in oracle.py does, without any other error, and
+grow by more patterns exactly as the reference grower does.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviordfa.classify import Verdict, classify
-from behaviordfa.dfa import deserialize
-from behaviordfa.errors import ModelFormatError
+from behaviordfa.dfa import _grow, add_pattern, build_dfa, deserialize
+from behaviordfa.errors import EngineError, InternalInvariantError, ModelFormatError
 
 from helpers import make_trace
-from oracle import oracle_classify, oracle_walk
+from oracle import oracle_classify, oracle_grow, oracle_walk
 
 ALPHABET = (1, 5, 7, 11)
 POOL = ALPHABET + (9,)  # 9 labels no transition
@@ -129,3 +130,70 @@ def test_an_accepted_model_classifies_as_the_reference(document, data):
             assert sum(t.weight for t in near.denominator_path) == denominator
             assert near.denominator_path[-1].target == final
             assert near.denominator_path[: len(matched)] == outcome.match.matched_transitions
+
+
+# Pattern steps are mostly the alphabet, sometimes an id outside the
+# catalog or a grouped step, and a pattern may be empty: a bad pattern
+# must fail with the same error in both growers.
+pattern_steps = st.one_of(
+    st.sampled_from(ALPHABET),
+    st.sampled_from(ALPHABET),
+    st.sampled_from(ALPHABET),
+    st.just(999),
+    st.lists(st.sampled_from(ALPHABET), min_size=2, max_size=2, unique=True),
+)
+pattern_bodies = st.lists(
+    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=8), min_size=1, max_size=3
+)
+
+
+@st.composite
+def patterns_along(draw, paths):
+    """A pattern down all or part of one root path, each step repeated 1-3 times, then a tail."""
+    path = draw(st.sampled_from(paths))
+    pattern = []
+    for behavior in path[: draw(st.one_of(st.just(len(path)), st.integers(0, len(path))))]:
+        pattern += [behavior] * draw(st.integers(1, 3))
+    return pattern + draw(st.lists(pattern_steps, max_size=3))
+
+
+def _outcome(grow):
+    """The grown model's contents, or the type and message of what growing raised."""
+    try:
+        dfa = grow()
+    except (EngineError, InternalInvariantError) as exc:
+        return type(exc), str(exc)
+    return dfa.state_count, dfa.transitions, dfa.finals, dfa.pattern_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trie_documents(), pattern_bodies), st.data())
+def test_growing_a_model_matches_the_reference(catalog, base, data):
+    if isinstance(base, tuple):  # a hand-shaped document, stamped with the catalog's fingerprint
+        doc, paths = base
+        try:
+            dfa = deserialize(json.dumps(dict(doc, catalog_fingerprint=catalog.fingerprint())))
+        except ModelFormatError:
+            return
+    else:
+        paths = base
+        patterns = [make_trace(body, trace_id=f"p{i}") for i, body in enumerate(base)]
+        dfa = build_dfa(patterns, catalog)
+    extras = data.draw(
+        st.lists(
+            st.one_of(patterns_along(paths), st.lists(pattern_steps, max_size=8)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    patterns = [make_trace(steps, trace_id=f"x{i}") for i, steps in enumerate(extras)]
+    expected = _outcome(lambda: oracle_grow(dfa, patterns, catalog))
+    assert _outcome(lambda: _grow(dfa, patterns, catalog)) == expected
+
+    def one_at_a_time():
+        grown = dfa
+        for pattern in patterns:
+            grown = add_pattern(grown, pattern, catalog)
+        return grown
+
+    assert _outcome(one_at_a_time) == expected

@@ -83,6 +83,17 @@ def test_add_pattern_matches_a_full_rebuild(catalog, bodies, extra):
     assert grown == rebuilt
 
 
+@given(
+    pattern_bodies,
+    st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=8), min_size=1, max_size=4),
+)
+def test_adding_patterns_one_at_a_time_matches_a_full_rebuild(catalog, bodies, extras):
+    grown = build_from(bodies, catalog)
+    for i, extra in enumerate(extras, start=len(bodies)):
+        grown = add_pattern(grown, make_trace(extra, trace_id=f"p{i}"), catalog)
+    assert grown == build_from(bodies + extras, catalog)
+
+
 @given(pattern_bodies)
 def test_serialize_deserialize_identity(catalog, bodies):
     dfa = build_from(bodies, catalog)
