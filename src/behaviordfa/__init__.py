@@ -5,9 +5,8 @@ and classifies new traces as benign, partially malign (with an exact match
 percentage), or malign.
 """
 
-from .catalog import BehaviorCatalog, BehaviorId, BehaviorSpec, default_catalog, load_catalog
+from .catalog import BehaviorCatalog, BehaviorSpec, default_catalog, load_catalog
 from .classify import (
-    BatchReport,
     BatchSummary,
     Classification,
     CsvReportWriter,
@@ -17,7 +16,6 @@ from .classify import (
     Verdict,
     classification_record,
     classify,
-    classify_batch,
     classify_stream,
     format_percent,
     match_percentage,
@@ -50,7 +48,6 @@ from .ingest import (
     BehaviorTrace,
     RecordError,
     compress_runs,
-    expand_runs,
     parse_traces,
     scan_traces,
 )
@@ -58,11 +55,9 @@ from .ingest import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchReport",
     "BatchSummary",
     "BehaviorCatalog",
     "BehaviorDfa",
-    "BehaviorId",
     "BehaviorSpec",
     "BehaviorTrace",
     "CatalogError",
@@ -87,12 +82,10 @@ __all__ = [
     "build_dfa",
     "classification_record",
     "classify",
-    "classify_batch",
     "classify_stream",
     "compress_runs",
     "default_catalog",
     "deserialize",
-    "expand_runs",
     "export_dot",
     "format_percent",
     "load_catalog",

@@ -16,8 +16,6 @@ from typing import IO, Iterable, Iterator, Union
 
 from .errors import CatalogError, UnknownBehaviorError
 
-BehaviorId = int
-
 
 @dataclass(frozen=True)
 class BehaviorSpec:
@@ -59,7 +57,7 @@ def _check_spec(spec: BehaviorSpec, where: str) -> None:
 
 
 class BehaviorCatalog:
-    """Immutable registry of behaviors, indexable by id and by name.
+    """Immutable registry of behaviors, looked up by id; names are unique too.
 
     The constructor is the one place entries are checked; an error names
     the entry by its 1-based position, as `entry 3: ...`.
@@ -67,18 +65,17 @@ class BehaviorCatalog:
 
     def __init__(self, entries: Iterable[BehaviorSpec]):
         by_id: dict[int, BehaviorSpec] = {}
-        by_name: dict[str, BehaviorSpec] = {}
+        names: set[str] = set()
         for position, spec in enumerate(entries, start=1):
             where = f"entry {position}"
             _check_spec(spec, where)
             if spec.id in by_id:
                 raise CatalogError(f"{where}: duplicate behavior id {spec.id}")
-            if spec.name in by_name:
+            if spec.name in names:
                 raise CatalogError(f"{where}: duplicate behavior name {spec.name!r}")
             by_id[spec.id] = spec
-            by_name[spec.name] = spec
+            names.add(spec.name)
         self._by_id = by_id
-        self._by_name = by_name
         self._ids = frozenset(by_id)
         self._fingerprint: str | None = None
 
@@ -121,12 +118,6 @@ class BehaviorCatalog:
         if spec is None:
             raise UnknownBehaviorError(behavior_id)
         return spec.name
-
-    def id_of(self, name: str) -> int:
-        spec = self._by_name.get(name)
-        if spec is None:
-            raise CatalogError(f"no behavior named {name!r}")
-        return spec.id
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical entry list; identifies the weight table."""

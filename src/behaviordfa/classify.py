@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Union
@@ -150,7 +149,7 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     """
     out = dfa._tables[0]
     finals = dfa.finals
-    state = dfa.initial
+    state = 0
     consumed = 0
     diverged = False
     reached = state in finals
@@ -339,35 +338,6 @@ def _percent_key(value: Fraction) -> str:
     if 100 * value.numerator % value.denominator == 0:
         return format_percent(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass
-class BatchReport:
-    """All per-trace outcomes of one batch, in input order, plus the summary."""
-
-    items: tuple[Union[Classification, RecordError], ...]
-    summary: BatchSummary
-
-    @property
-    def records(self) -> tuple[Classification, ...]:
-        return tuple(i for i in self.items if isinstance(i, Classification))
-
-    @property
-    def errors(self) -> tuple[RecordError, ...]:
-        return tuple(i for i in self.items if isinstance(i, RecordError))
-
-
-def classify_batch(
-    dfa: BehaviorDfa,
-    items: Iterable[Union[BehaviorTrace, RecordError]],
-) -> BatchReport:
-    """Classify a whole batch and aggregate the summary."""
-    summary = BatchSummary()
-    collected = []
-    for outcome in classify_stream(dfa, items):
-        summary.add(outcome)
-        collected.append(outcome)
-    return BatchReport(items=tuple(collected), summary=summary)
 
 
 def classification_record(item: Classification) -> dict:

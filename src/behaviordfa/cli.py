@@ -164,7 +164,18 @@ def _model_summary(dfa) -> str:
     )
 
 
+def _refuse_out_over_inputs(args, *flags: str) -> None:
+    """Refuse an --out that names an input flag's file, which writing it would replace."""
+    if args.out is None or not os.path.exists(args.out):
+        return
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is not None and os.path.exists(path) and os.path.samefile(args.out, path):
+            raise FileExistsError(f"--out {args.out} is the --{flag} file; not overwriting it")
+
+
 def _cmd_build(args) -> int:
+    _refuse_out_over_inputs(args, "patterns", "catalog")
     catalog = _load_catalog_arg(args.catalog)
     patterns = _load_patterns(args.patterns, catalog)
     dfa = build_dfa(patterns, catalog)
@@ -187,11 +198,8 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    # The report file is truncated on open, before any input is read.
-    if args.out is not None and os.path.exists(args.out):
-        for flag, path in (("--traces", args.traces), ("--model", args.model)):
-            if os.path.exists(path) and os.path.samefile(args.out, path):
-                raise FileExistsError(f"--out {args.out} is the {flag} file; not overwriting it")
+    # Before any input is read: the report file is truncated on open.
+    _refuse_out_over_inputs(args, "traces", "model", "catalog")
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
     catalog = None
@@ -220,6 +228,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    _refuse_out_over_inputs(args, "model", "catalog")
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
     catalog = _load_catalog_arg(args.catalog)

@@ -74,10 +74,6 @@ class Transition(NamedTuple):
     target: int
     weight: int
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.source == self.target
-
 
 @dataclass(frozen=True)
 class BehaviorDfa:
@@ -138,10 +134,6 @@ class BehaviorDfa:
                 if best is None or (cost, ahead[1]) < best[:2]:
                     nearest[t.source] = (cost, ahead[1], t)
         return out, parent, prefix, nearest
-
-    @property
-    def initial(self) -> int:
-        return 0
 
     def step(self, state: int, behavior: int) -> Transition | None:
         """The unique transition out of `state` on `behavior`, if defined."""

@@ -34,9 +34,6 @@ class BehaviorTrace:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 @dataclass(frozen=True)
 class RecordError:
@@ -49,8 +46,8 @@ class RecordError:
 def compress_runs(flat: Sequence[int]) -> list[tuple[int, int]]:
     """Collapse consecutive repeats into (behavior, count) runs.
 
-    Maximal encoding: no two adjacent runs share a behavior, and
-    expand_runs() restores the input exactly.
+    Maximal encoding: no two adjacent runs share a behavior, and repeating
+    each behavior `count` times restores the input exactly.
     """
     runs: list[tuple[int, int]] = []
     for behavior in flat:
@@ -59,14 +56,6 @@ def compress_runs(flat: Sequence[int]) -> list[tuple[int, int]]:
         else:
             runs.append((behavior, 1))
     return runs
-
-
-def expand_runs(runs: Iterable[tuple[int, int]]) -> list[int]:
-    """Inverse of compress_runs()."""
-    flat: list[int] = []
-    for behavior, count in runs:
-        flat.extend([behavior] * count)
-    return flat
 
 
 def parse_traces(

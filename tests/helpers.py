@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from behaviordfa.classify import BatchSummary, classify_stream
 from behaviordfa.ingest import BehaviorTrace
 
 # Known-malicious seed sequences used throughout the suite. Building from
@@ -17,3 +18,13 @@ def make_trace(steps, trace_id="t0", label=None) -> BehaviorTrace:
     """Build a trace from a list of ints (singleton steps) and/or lists."""
     norm = tuple((s,) if isinstance(s, int) else tuple(s) for s in steps)
     return BehaviorTrace(trace_id, norm, label)
+
+
+def run_batch(dfa, items):
+    """The CLI's classify loop: every outcome in input order, and their summary."""
+    summary = BatchSummary()
+    outcomes = []
+    for outcome in classify_stream(dfa, items):
+        summary.add(outcome)
+        outcomes.append(outcome)
+    return outcomes, summary

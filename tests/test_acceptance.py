@@ -15,12 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from behaviordfa.catalog import default_catalog
-from behaviordfa.classify import Verdict, classify, classify_batch, nearest_final
+from behaviordfa.classify import Verdict, classify, nearest_final
 from behaviordfa.cli import main
 from behaviordfa.dfa import add_pattern, build_dfa, deserialize, serialize
-from behaviordfa.ingest import compress_runs, expand_runs, scan_traces
+from behaviordfa.ingest import compress_runs, scan_traces
 
-from helpers import PATTERN_A, PATTERN_B, make_trace
+from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
 from oracle import oracle_classify, random_patterns, random_trace_steps
 
 ALPHABET = [1, 5, 7, 11]
@@ -103,14 +103,14 @@ def test_criterion_4_synthetic_batch(tmp_path):
     catalog = default_catalog()
     dfa = build_dfa(_seed_patterns(), catalog)
     with open(batch_file, "rb") as fh:
-        report = classify_batch(dfa, scan_traces(fh, catalog))
-    assert report.summary.record_errors == 0
-    assert report.summary.counts == {
+        _, summary = run_batch(dfa, scan_traces(fh, catalog))
+    assert summary.record_errors == 0
+    assert summary.counts == {
         Verdict.MALIGN: 2,
         Verdict.PARTIALLY_MALIGN: 4,
         Verdict.BENIGN: 5,
     }
-    assert report.summary.histogram == {
+    assert summary.histogram == {
         Fraction(75, 4): 1,
         Fraction(30): 1,
         Fraction(75, 2): 1,
@@ -172,7 +172,7 @@ def test_criterion_6_structural_properties():
     for _ in range(500):  # run compression round-trip
         flat = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 30))]
         runs = compress_runs(flat)
-        assert expand_runs(runs) == flat
+        assert [b for b, count in runs for _ in range(count)] == flat
         assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
     for _ in range(500):  # serialization identity

@@ -15,7 +15,6 @@ from behaviordfa.classify import (
     Verdict,
     classification_record,
     classify,
-    classify_batch,
     _percent_key,
     classify_stream,
     format_percent,
@@ -27,7 +26,7 @@ from behaviordfa.dfa import BehaviorDfa, Transition, build_dfa
 from behaviordfa.errors import InternalInvariantError, NoFinalReachableError
 from behaviordfa.ingest import RecordError
 
-from helpers import PATTERN_A, PATTERN_B, make_trace
+from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
 
 
 class TestMatchPrefix:
@@ -125,7 +124,7 @@ class TestNearestFinal:
     def test_forward_path_never_uses_self_loops(self, seed_dfa):
         for state in range(seed_dfa.state_count):
             near = nearest_final(seed_dfa, state)
-            assert all(not t.is_self_loop for t in near.forward_path)
+            assert all(t.source != t.target for t in near.forward_path)
 
     def test_no_final_ahead_is_a_loud_error(self):
         dfa = BehaviorDfa(
@@ -321,18 +320,18 @@ class TestClassifyBatch:
             make_trace([7, 5], "c"),
             make_trace([9], "d"),
         ]
-        report = classify_batch(seed_dfa, traces)
-        counts = report.summary.counts
+        _, summary = run_batch(seed_dfa, traces)
+        counts = summary.counts
         assert counts[Verdict.MALIGN] == 2
         assert counts[Verdict.PARTIALLY_MALIGN] == 1
         assert counts[Verdict.BENIGN] == 1
-        assert report.summary.histogram == {Fraction(75, 2): 1}
+        assert summary.histogram == {Fraction(75, 2): 1}
 
     def test_empty_batch(self, seed_dfa):
-        report = classify_batch(seed_dfa, [])
-        assert all(count == 0 for count in report.summary.counts.values())
-        assert report.summary.histogram == {}
-        assert report.items == ()
+        outcomes, summary = run_batch(seed_dfa, [])
+        assert all(count == 0 for count in summary.counts.values())
+        assert summary.histogram == {}
+        assert outcomes == []
 
     def test_cohort_exemplars_fill_four_buckets(self, seed_dfa):
         traces = [
@@ -341,8 +340,8 @@ class TestClassifyBatch:
             make_trace([7, 5, 3], "three"),
             make_trace([5, 1, 3], "four"),
         ]
-        report = classify_batch(seed_dfa, traces)
-        assert report.summary.histogram == {
+        _, summary = run_batch(seed_dfa, traces)
+        assert summary.histogram == {
             Fraction(75, 4): 1,
             Fraction(30): 1,
             Fraction(75, 2): 1,
@@ -355,20 +354,20 @@ class TestClassifyBatch:
             RecordError(2, "line 2: not valid JSON"),
             make_trace([9], "quiet"),
         ]
-        report = classify_batch(seed_dfa, items)
-        assert report.summary.record_errors == 1
-        assert len(report.records) == 2
-        assert report.errors[0].line == 2
+        outcomes, summary = run_batch(seed_dfa, items)
+        assert summary.record_errors == 1
+        assert [isinstance(o, RecordError) for o in outcomes] == [False, True, False]
+        assert outcomes[1].line == 2
 
     def test_output_order_equals_input_order(self, seed_dfa):
         items = [make_trace([7], f"t{i}") for i in range(10)]
-        report = classify_batch(seed_dfa, items)
-        assert [r.trace_id for r in report.records] == [f"t{i}" for i in range(10)]
+        outcomes, _ = run_batch(seed_dfa, items)
+        assert [r.trace_id for r in outcomes] == [f"t{i}" for i in range(10)]
 
     def test_cross_table_appears_only_with_labels(self, seed_dfa):
-        unlabeled = classify_batch(seed_dfa, [make_trace([7], "a")])
-        assert unlabeled.summary.cross_table is None
-        labeled = classify_batch(
+        _, unlabeled = run_batch(seed_dfa, [make_trace([7], "a")])
+        assert unlabeled.cross_table is None
+        _, labeled = run_batch(
             seed_dfa,
             [
                 make_trace(PATTERN_A, "a", label="malicious"),
@@ -376,7 +375,7 @@ class TestClassifyBatch:
                 make_trace([7], "c"),
             ],
         )
-        table = labeled.summary.cross_table
+        table = labeled.cross_table
         assert table["malicious"][Verdict.MALIGN] == 1
         assert table["benign"][Verdict.PARTIALLY_MALIGN] == 1
         assert table["unlabeled"][Verdict.PARTIALLY_MALIGN] == 1
@@ -437,10 +436,8 @@ class TestReportWriters:
         assert lines[2]["summary"]["histogram"] == {"37.5": 1}
 
     def test_summary_includes_cross_table_when_labeled(self, seed_dfa):
-        report = classify_batch(
-            seed_dfa, [make_trace(PATTERN_A, "a", label="malicious")]
-        )
-        doc = report.summary.as_dict()
+        _, summary = run_batch(seed_dfa, [make_trace(PATTERN_A, "a", label="malicious")])
+        doc = summary.as_dict()
         assert doc["label_cross_table"] == {
             "malicious": {"benign": 0, "partially_malign": 0, "malign": 1}
         }
@@ -465,10 +462,10 @@ class TestReportWriters:
         ]
 
     def test_summary_line_format(self, seed_dfa):
-        report = classify_batch(
+        _, summary = run_batch(
             seed_dfa,
             [make_trace([7, 3], "one"), make_trace([5, 3], "two")],
         )
-        assert report.summary.summary_line() == "malign:0 partial:2 benign:0"
-        report.summary.add(RecordError(9, "x"))
-        assert report.summary.summary_line() == "malign:0 partial:2 benign:0 errors:1"
+        assert summary.summary_line() == "malign:0 partial:2 benign:0"
+        summary.add(RecordError(9, "x"))
+        assert summary.summary_line() == "malign:0 partial:2 benign:0 errors:1"

@@ -244,12 +244,31 @@ class TestClassify:
         lines = report.read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0])["verdict"] == "malign"
 
-    @pytest.mark.parametrize("clash", ["--traces", "--model"])
-    def test_out_that_names_an_input_is_refused(self, tmp_path, model_file, capsys, clash):
+    @pytest.mark.parametrize(
+        "command, clash",
+        [
+            pytest.param("classify", "--traces", id="--traces"),
+            pytest.param("classify", "--model", id="--model"),
+            pytest.param("classify", "--catalog", id="classify --catalog"),
+            pytest.param("build", "--patterns", id="build --patterns"),
+            pytest.param("build", "--catalog", id="build --catalog"),
+            pytest.param("export-dot", "--model", id="export-dot --model"),
+            pytest.param("export-dot", "--catalog", id="export-dot --catalog"),
+        ],
+    )
+    def test_out_that_names_an_input_is_refused(
+        self, tmp_path, pattern_file, model_file, capsys, command, clash
+    ):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_bytes(default_catalog().to_json())
         traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": PATTERN_B}])
-        inputs = {"--traces": traces, "--model": model_file}
+        inputs = {
+            "build": {"--patterns": pattern_file, "--catalog": catalog},
+            "classify": {"--model": model_file, "--traces": traces, "--catalog": catalog},
+            "export-dot": {"--model": model_file, "--catalog": catalog},
+        }[command]
         before = {flag: path.read_bytes() for flag, path in inputs.items()}
-        argv = ["classify", "--model", str(model_file), "--traces", str(traces)]
+        argv = [command] + [arg for flag, path in inputs.items() for arg in (flag, str(path))]
         code = main(argv + ["--out", str(inputs[clash])])
         assert code == 1
         captured = capsys.readouterr()

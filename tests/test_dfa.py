@@ -64,10 +64,6 @@ class TestTransition:
         with pytest.raises(AttributeError):
             t.weight = 5
 
-    def test_is_self_loop(self):
-        assert Transition(4, 7, 4, 2).is_self_loop
-        assert not Transition(3, 7, 4, 2).is_self_loop
-
 
 class TestBuild:
     def test_seed_model_has_eleven_states_and_two_finals(self, seed_dfa):
@@ -79,7 +75,7 @@ class TestBuild:
         assert len(seed_dfa.transitions) == 15
 
     def test_repeat_runs_become_self_loops(self, seed_dfa):
-        loops = {(t.source, t.behavior) for t in seed_dfa.transitions if t.is_self_loop}
+        loops = {(t.source, t.behavior) for t in seed_dfa.transitions if t.source == t.target}
         assert loops == {(3, 1), (4, 7), (6, 1), (8, 1), (10, 1)}
 
     def test_single_behavior_pattern(self, catalog):
