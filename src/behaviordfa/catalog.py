@@ -9,16 +9,13 @@ across threads.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .errors import CatalogError, UnknownBehaviorError
 
 
-@dataclass(frozen=True)
-class BehaviorSpec:
+class BehaviorSpec(NamedTuple):
     """One catalog entry: identifier, display name, risk weight."""
 
     id: int
@@ -122,6 +119,8 @@ class BehaviorCatalog:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical entry list; identifies the weight table."""
         if self._fingerprint is None:
+            import hashlib  # only a fingerprint needs it; most classify runs never ask
+
             canon = json.dumps(
                 [{"id": s.id, "name": s.name, "weight": s.weight} for s in self.entries],
                 separators=(",", ":"),

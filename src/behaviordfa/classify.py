@@ -24,7 +24,6 @@ rationals end to end; decimal strings appear only at the output boundary.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 from fractions import Fraction
@@ -382,6 +381,8 @@ class CsvReportWriter:
     """CSV summary: id, verdict, percentage, label. Record errors are not rows."""
 
     def __init__(self, out: IO[str]):
+        import csv  # only CSV reports need it
+
         self._writer = csv.writer(out, lineterminator="\n")
         self._writer.writerow(["id", "verdict", "percentage", "label"])
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
@@ -121,21 +119,25 @@ def _load_patterns(path: str, catalog: BehaviorCatalog):
 
 def _atomic_write(path: str, data: bytes) -> None:
     # Temp file in the target directory, then rename: an interrupted write
-    # never leaves a half-written model behind. It keeps the replaced file's
-    # mode, or takes the one open() gives a new file (mkstemp's is 0600).
+    # never leaves a half-written model behind. A symlink is written
+    # through: the file it points to is the one replaced. It keeps the
+    # replaced file's mode, or takes the one open() gives a new file
+    # (mkstemp's is 0600).
+    import tempfile  # only model writes need it
+
+    target = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode & 0o7777
+        mode = os.stat(target).st_mode & 0o7777
     except FileNotFoundError:
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = Path(path).resolve().parent
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), mode)
             fh.write(data)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, target)
     except BaseException:
         try:
             os.unlink(tmp_path)

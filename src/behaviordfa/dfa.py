@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, NamedTuple, Union
 
@@ -75,8 +74,15 @@ class Transition(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class BehaviorDfa:
+class _DfaFields(NamedTuple):
+    state_count: int
+    transitions: tuple[Transition, ...]
+    finals: frozenset[int]
+    catalog_fingerprint: str
+    pattern_count: int
+
+
+class BehaviorDfa(_DfaFields):
     """States 0..state_count-1, deterministic transitions, final-state set.
 
     State 0 is always the initial state. Transitions are kept in plain
@@ -87,19 +93,26 @@ class BehaviorDfa:
     forward transitions go to higher state ids, and every state but the
     initial one has exactly one incoming forward transition. The one
     lookup index, _tables, holds every per-state fact that step(), the
-    prefix walk and the nearest-final lookup read; it is built on first use.
+    prefix walk and the nearest-final lookup read; it is built on first use
+    and is no field: equality, hash and repr go by the five fields.
     """
 
-    state_count: int
-    transitions: tuple[Transition, ...]
-    finals: frozenset[int]
-    catalog_fingerprint: str
-    pattern_count: int
+    def __new__(
+        cls,
+        state_count: int,
+        transitions: Iterable[Transition],
+        finals: Iterable[int],
+        catalog_fingerprint: str,
+        pattern_count: int,
+    ):
+        return tuple.__new__(
+            cls,
+            (state_count, tuple(sorted(transitions)), frozenset(finals), catalog_fingerprint,
+             pattern_count),
+        )
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.transitions))
-        object.__setattr__(self, "transitions", ordered)
-        object.__setattr__(self, "finals", frozenset(self.finals))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a BehaviorDfa is immutable")
 
     @cached_property
     def _tables(self) -> tuple[list, list, list, list]:
@@ -250,7 +263,7 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
     return BehaviorDfa(
         state_count=count,
         transitions=edges + tuple(added.values()),  # the constructor's sort merges the tail in
-        finals=frozenset(finals),
+        finals=finals,
         catalog_fingerprint=base.catalog_fingerprint,
         pattern_count=base.pattern_count + len(patterns),
     )
@@ -264,8 +277,7 @@ def _edge_in(edges: tuple[Transition, ...], key: tuple[int, int]) -> Transition 
     return None
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     """One structural defect found by validate()."""
 
     kind: str
@@ -440,7 +452,7 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
 
     dfa = BehaviorDfa(
         state_count=states,
-        transitions=tuple(transitions),
+        transitions=transitions,
         finals=finals,
         catalog_fingerprint=fingerprint,
         pattern_count=pattern_count,

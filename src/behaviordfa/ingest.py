@@ -7,15 +7,16 @@ Trace files are line-delimited JSON, one trace per line:
 A step is the list of behavior ids observed at one point in execution;
 most steps hold a single id, and the flat shorthand ``"steps": [7, 5]``
 may be mixed with the grouped form. Parsed, each step is a plain tuple of
-ids, ``(7,)`` or ``(11, 3)``, checked once, in _parse_record(). Labels are
-advisory metadata: they travel to reports but never influence classification.
+ids, ``(7,)`` or ``(11, 3)``, checked once, in _parse_record(); within a
+record, every one-id step of the same id is one shared tuple, checked where
+it first occurs. Labels are advisory metadata: they travel to reports but
+never influence classification.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .catalog import BehaviorCatalog
 from .errors import EngineError, TraceFormatError, UnknownBehaviorError
@@ -23,20 +24,22 @@ from .errors import EngineError, TraceFormatError, UnknownBehaviorError
 LABELS = ("malicious", "benign")
 
 
-@dataclass(frozen=True)
-class BehaviorTrace:
-    """One script's execution record: steps in order, each a tuple of behavior ids."""
-
+class _TraceFields(NamedTuple):
     trace_id: str
     steps: tuple[tuple[int, ...], ...]
     label: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+
+class BehaviorTrace(_TraceFields):
+    """One script's execution record: steps in order, each a tuple of behavior ids."""
+
+    __slots__ = ()
+
+    def __new__(cls, trace_id: str, steps: Iterable, label: str | None = None):
+        return tuple.__new__(cls, (trace_id, tuple(steps), label))
 
 
-@dataclass(frozen=True)
-class RecordError:
+class RecordError(NamedTuple):
     """A trace record that could not be used, with its input line number."""
 
     line: int
@@ -139,7 +142,14 @@ def _parse_record(text, line_no, known, seen_ids):
         raise TraceFormatError(f"trace {trace_id!r}: 'steps' must be an array", line=line_no)
 
     steps: list[tuple[int, ...]] = []
+    checked: dict[int, tuple[int]] = {}  # id -> its one-id step, checked once per record
     for index, entry in enumerate(raw_steps):
+        single = entry[0] if type(entry) is list and len(entry) == 1 else entry
+        if type(single) is int:
+            step = checked.get(single)
+            if step is not None:
+                steps.append(step)
+                continue
         step = tuple(entry) if type(entry) is list else (entry,)
         if not step:
             raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty", line=line_no)
@@ -160,7 +170,9 @@ def _parse_record(text, line_no, known, seen_ids):
                 earlier.add(b)
             if known is not None and b not in known:
                 raise UnknownBehaviorError(b, context=f"trace {trace_id!r}, step {index}")
+        if earlier is None:
+            checked[step[0]] = step
         steps.append(step)
 
     seen_ids.add(trace_id)
-    return BehaviorTrace(trace_id, tuple(steps), label)
+    return BehaviorTrace(trace_id, steps, label)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from behaviordfa.dfa import MODEL_VERSION, BehaviorDfa, Transition, _flatten_pattern
-from behaviordfa.errors import InternalInvariantError, UnknownBehaviorError
+from behaviordfa.errors import InternalInvariantError, TraceFormatError, UnknownBehaviorError
 from behaviordfa.ingest import compress_runs
 
 from helpers import make_trace
@@ -153,6 +153,36 @@ def oracle_grow(base: BehaviorDfa, patterns, catalog) -> BehaviorDfa:
         catalog_fingerprint=base.catalog_fingerprint,
         pattern_count=base.pattern_count + len(patterns),
     )
+
+
+def oracle_steps(raw_steps, trace_id, line_no, known):
+    """A record's steps checked one by one, each its own tuple; raises as the parser does.
+
+    Per behavior: type, then repeat within the step, then the catalog
+    (`known`, or None to accept any id).
+    """
+    steps = []
+    for index, entry in enumerate(raw_steps):
+        step = tuple(entry) if type(entry) is list else (entry,)
+        if not step:
+            raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty", line=line_no)
+        earlier = []
+        for b in step:
+            if type(b) is not int or b < 0:
+                raise TraceFormatError(
+                    f"trace {trace_id!r}: step {index} holds {b!r}, "
+                    "expected a non-negative integer behavior id",
+                    line=line_no,
+                )
+            if b in earlier:
+                raise TraceFormatError(
+                    f"trace {trace_id!r}: step {index} repeats behavior {b}", line=line_no
+                )
+            earlier.append(b)
+            if known is not None and b not in known:
+                raise UnknownBehaviorError(b, context=f"trace {trace_id!r}, step {index}")
+        steps.append(step)
+    return tuple(steps)
 
 
 def oracle_serialize(dfa: BehaviorDfa) -> bytes:

@@ -111,6 +111,19 @@ class TestBuild:
             pass
         assert file_mode(out) == file_mode(reference)
 
+    def test_out_through_a_symlink_writes_the_file_it_points_to(self, tmp_path, pattern_file):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "links").mkdir()
+        real = tmp_path / "real" / "model.json"
+        real.write_bytes(b"old\n")
+        link = tmp_path / "links" / "model.json"
+        link.symlink_to(Path("..") / "real" / "model.json")
+        code = main(["--quiet", "build", "--patterns", str(pattern_file), "--out", str(link)])
+        assert code == 0
+        assert link.is_symlink()
+        assert deserialize(real.read_bytes()).state_count == 11
+        assert list((tmp_path / "links").iterdir()) == [link]
+
     def test_custom_catalog(self, tmp_path, capsys):
         catalog_file = tmp_path / "catalog.json"
         catalog_file.write_text(
@@ -155,6 +168,20 @@ class TestAdd:
         code = main(["--quiet", "add", "--model", str(model_file), "--patterns", str(pattern_file)])
         assert code == 0
         assert file_mode(model_file) == 0o640
+
+    def test_add_through_a_symlink_updates_the_file_it_points_to(
+        self, tmp_path, model_file, capsys
+    ):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "links").mkdir()
+        real = model_file.rename(tmp_path / "real" / "model.json")
+        link = tmp_path / "links" / "model.json"
+        link.symlink_to(Path("..") / "real" / "model.json")
+        more = write_jsonl(tmp_path / "more.jsonl", [{"id": "stub", "steps": [5, 1]}])
+        assert main(["add", "--model", str(link), "--patterns", str(more)]) == 0
+        assert "model updated" in capsys.readouterr().err
+        assert link.is_symlink()
+        assert deserialize(real.read_bytes()).pattern_count == 3
 
     def test_mismatched_catalog_fails_loudly(self, tmp_path, model_file, capsys):
         other = tmp_path / "other-catalog.json"
@@ -498,3 +525,26 @@ class TestCliContract:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_import_and_classify_leave_unused_modules_unloaded(self, tmp_path, model_file):
+        # -S: .pth files in site-packages may import some of these themselves.
+        traces = write_jsonl(tmp_path / "traces.jsonl", [{"id": "a", "steps": [7, 5]}])
+        report = tmp_path / "report.jsonl"
+        script = (
+            "import sys, behaviordfa.cli\n"
+            "unused = ['dataclasses', 'inspect', 'hashlib', 'tempfile', 'csv']\n"
+            "print([m for m in unused if m in sys.modules])\n"
+            "argv = ['--quiet', 'classify', '--model', sys.argv[1], '--traces', sys.argv[2],"
+            " '--out', sys.argv[3]]\n"
+            "code = behaviordfa.cli.main(argv)\n"
+            "print(code, 'hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, str(model_file), str(traces), str(report)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n0 False\n"
+        assert '"verdict": "partially_malign"' in report.read_text(encoding="utf-8")

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviordfa.classify import classify
@@ -19,6 +19,7 @@ from behaviordfa.ingest import (
 )
 
 from helpers import PATTERN_A, PATTERN_B
+from oracle import oracle_steps
 
 
 def jsonl(*records):
@@ -164,6 +165,45 @@ class TestParseErrors:
         lines = jsonl({"id": "a", "steps": [99, 1234]})
         (trace,) = parse_traces(lines)
         assert trace.steps[0] == (99,)
+
+
+# Step entries as JSON gives them: a few ids, so ids repeat within a record
+# (99 is not in the catalog), and a quarter of values a step must reject,
+# some equal to an id (True == 1, 1.0 == 1).
+_id = st.sampled_from([0, 1, 3, 7, 11, 99])
+_behavior = st.one_of(_id, _id, _id, st.sampled_from([-1, True, 1.0, "7", None]))
+_entry = st.one_of(_behavior, st.lists(_behavior, max_size=3))
+
+
+class TestSharedSteps:
+    def test_equal_one_id_steps_share_one_tuple_within_a_record(self, catalog):
+        (trace,) = parse_traces(jsonl({"id": "a", "steps": [7, [7], [5, 7], 5, [7], 5]}), catalog)
+        assert trace.steps == ((7,), (7,), (5, 7), (5,), (7,), (5,))
+        first = trace.steps[0]
+        assert trace.steps[1] is first and trace.steps[4] is first
+        assert trace.steps[5] is trace.steps[3]
+
+    def test_a_bad_id_is_reported_at_its_first_step_even_after_good_ones(self, catalog):
+        lines = jsonl({"id": "a", "steps": [7, [7], 7, [7, True]]})
+        with pytest.raises(TraceFormatError) as raised:
+            list(parse_traces(lines, catalog))
+        assert str(raised.value) == (
+            "line 1: trace 'a': step 3 holds True, expected a non-negative integer behavior id"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(_entry, max_size=12), with_catalog=st.booleans())
+    def test_matches_the_per_step_oracle(self, catalog, steps, with_catalog):
+        used = catalog if with_catalog else None
+        line = json.dumps({"id": "r", "steps": steps})
+        try:
+            expected = BehaviorTrace("r", oracle_steps(steps, "r", 1, used and used.ids))
+        except (TraceFormatError, UnknownBehaviorError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                list(parse_traces([line], used))
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        else:
+            assert list(parse_traces([line], used)) == [expected]
 
 
 class TestScanTraces:
