@@ -79,12 +79,6 @@ class BehaviorCatalog:
     def __contains__(self, behavior_id: int) -> bool:
         return behavior_id in self._by_id
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[BehaviorSpec]:
-        return iter(self.entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BehaviorCatalog):
             return NotImplemented

@@ -10,16 +10,18 @@ with the weight of the cheapest initial-to-final path extending it:
 
 The model is a trie, so the walk's edges are the unique path to its end
 state and the denominator is a lookup: the model derives once, per
-state, the weight from the initial state and the cost of the cheapest
-final ahead. The walk therefore tracks only its state, one out-table
-lookup per step, and classify() builds no path: the explanation fields
-of a result (matched_transitions, matched_weight, forward_path,
-denominator_path) are read off the model's tables when a caller reads
-them. Results are named tuples that carry the model, immutable and
-compared by their public fields. Self-loop traversals consume input but
-add no weight on either side of the ratio, so a behavior repeated eight
-times scores the same as one repeated twice. Percentages are exact
-rationals end to end; decimal strings appear only at the output boundary.
+state, the weight from the initial state and the nearest final below
+it, whose own weight from the initial state is the denominator. The
+walk therefore tracks only its state, one out-table lookup per step,
+and classify() builds no path: the explanation fields of a result
+(matched_transitions, matched_weight, forward_path, denominator_path)
+are read off the model's tables when a caller reads them, each path by
+one walk up the model's parent links. Results are named tuples that
+carry the model, immutable and compared by their public fields.
+Self-loop traversals consume input but add no weight on either side of
+the ratio, so a behavior repeated eight times scores the same as one
+repeated twice. Percentages are exact rationals end to end; decimal
+strings appear only at the output boundary.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ class MatchResult(NamedTuple):
 class NearestFinal(NamedTuple):
     """The cheapest final state ahead of from_state; paths are read off the model on demand.
 
-    denominator_path runs from the initial state all the way to the final;
-    under trie construction it is the matched path plus forward_path.
+    forward_path runs from from_state down to final_state, and
+    denominator_path from the initial state all the way to the final: the
+    path to from_state plus forward_path, both read up parent links.
     """
 
     final_state: int
@@ -108,13 +111,7 @@ class NearestFinal(NamedTuple):
     @property
     def forward_path(self) -> tuple[Transition, ...]:
         """The forward edges from from_state to final_state, never a self-loop."""
-        nearest = self.model._tables[3]
-        forward: list[Transition] = []
-        t = nearest[self.from_state][2]
-        while t is not None:
-            forward.append(t)
-            t = nearest[t.target][2]
-        return tuple(forward)
+        return self.model._path(self.from_state, self.final_state)
 
     @property
     def denominator_path(self) -> tuple[Transition, ...]:
@@ -183,21 +180,21 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     """Find the final state ahead of `from_state` with minimum path weight.
 
     A lookup in the model's per-state tables, which hold for every state
-    the cost of its cheapest final ahead and the first forward transition
-    toward it; self-loops only add cost and are never taken. Ties between
-    equally cheap finals go to the smallest state id. The returned
-    denominator covers the whole initial-to-final path: the weight from
-    the initial state to `from_state` plus the forward cost. The paths are
-    only built when the result's path fields are read.
+    its nearest final, the final below it with the least weight from the
+    initial state; self-loops only add cost and are never taken. Ties
+    between equally cheap finals go to the smallest state id. The returned
+    denominator covers the whole initial-to-final path, so it is that
+    final's weight from the initial state. The paths are only built when
+    the result's path fields are read.
     Raises NoFinalReachableError when no final is ahead.
     """
     if not 0 <= from_state < dfa.state_count:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
     _, _, prefix, nearest = dfa._tables
-    ahead = nearest[from_state]
-    if ahead is None:
+    final = nearest[from_state]
+    if final is None:
         raise NoFinalReachableError(f"no final state is reachable from state {from_state}")
-    return NearestFinal(ahead[1], prefix[from_state] + ahead[0], from_state, dfa)
+    return NearestFinal(final, prefix[final], from_state, dfa)
 
 
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
@@ -293,7 +290,10 @@ class BatchSummary:
             self.histogram[key] = self.histogram.get(key, 0) + 1
         if item.label is not None:
             self._any_label = True
-        row = self._cross.setdefault(item.label or "unlabeled", {v: 0 for v in Verdict})
+        label = item.label or "unlabeled"
+        row = self._cross.get(label)
+        if row is None:
+            row = self._cross[label] = {v: 0 for v in Verdict}
         row[item.verdict] += 1
 
     @property

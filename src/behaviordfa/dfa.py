@@ -120,11 +120,13 @@ class BehaviorDfa(_DfaFields):
 
         out maps each behavior to the transition out of the state on it,
         parent is the forward transition into the state (None for state 0),
-        prefix the weight from the initial state, and nearest the cheapest
-        final at or ahead of the state as (cost, final, first forward
-        transition toward it, None at a final), ties to the lowest final id,
-        or None when no final is ahead. A transition with an end outside
-        the model, which only an unvalidated model has, is left out.
+        prefix the weight from the initial state, and nearest the final at
+        or below the state with the least (prefix, id), or None when no
+        final is ahead. Only forward transitions (source < target) set
+        parent and prefix, so parent chains always descend and the cost
+        from a state on to its nearest final is prefix[final] - prefix[state].
+        A transition with an end outside the model, which only an
+        unvalidated model has, is left out.
         """
         n = self.state_count
         out: list[dict[int, Transition]] = [{} for _ in range(n)]
@@ -134,18 +136,18 @@ class BehaviorDfa(_DfaFields):
             source, behavior, target, weight = t
             if 0 <= source < n and 0 <= target < n:
                 out[source][behavior] = t
-                if source != target:
+                if source < target:
                     parent[target] = t
                     prefix[target] = prefix[source] + weight
-        nearest: list = [(0, s, None) if s in self.finals else None for s in range(n)]
+        finals = self.finals
+        nearest: list = [s if s in finals else None for s in range(n)]
         for s in range(n - 1, 0, -1):  # descending: children have higher ids and settle first
+            final = nearest[s]
             t = parent[s]
-            ahead = nearest[s]
-            if t is not None and ahead is not None:
+            if final is not None and t is not None:
                 best = nearest[t.source]
-                cost = ahead[0] + t.weight
-                if best is None or (cost, ahead[1]) < best[:2]:
-                    nearest[t.source] = (cost, ahead[1], t)
+                if best is None or (prefix[final], final) < (prefix[best], best):
+                    nearest[t.source] = final
         return out, parent, prefix, nearest
 
     def step(self, state: int, behavior: int) -> Transition | None:
@@ -156,15 +158,17 @@ class BehaviorDfa(_DfaFields):
 
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
         """The unique non-self-loop path from the initial state to `state`."""
+        return self._path(0, state)
+
+    def _path(self, start: int, end: int) -> tuple[Transition, ...]:
+        """The forward transitions from `start` down to `end`, read up end's parent links."""
         parent = self._tables[1]
         path: list[Transition] = []
-        current = state
-        while current != 0:
+        current = end
+        while current != start:
             t = parent[current]
             if t is None:
-                raise InternalInvariantError(
-                    f"state {current} is not reachable from the initial state"
-                )
+                raise InternalInvariantError(f"state {end} is not reachable from state {start}")
             path.append(t)
             current = t.source
         path.reverse()

@@ -35,13 +35,13 @@ class TestDefaultCatalog:
         assert catalog.name_of(11) == "Send Data"
 
     def test_ids_and_names_are_a_bijection(self, catalog):
-        specs = list(catalog)
+        specs = catalog.entries
         assert len({s.id for s in specs}) == len(specs)
         assert len({s.name for s in specs}) == len(specs)
         assert all(catalog.name_of(s.id) == s.name for s in specs)
 
     def test_every_weight_is_at_least_one(self, catalog):
-        assert all(catalog.weight_of(s.id) >= 1 for s in catalog)
+        assert all(catalog.weight_of(s.id) >= 1 for s in catalog.entries)
 
 
 class TestLoadCatalog:

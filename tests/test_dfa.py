@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +209,37 @@ class TestStep:
         assert dfa.step(0, 1) is inside
         assert dfa.step(0, 2) is None
         assert dfa.path_from_initial(1) == (inside,)
+
+    def test_a_back_edge_is_no_parent_link(self):
+        # Only a hand-built model has one: validate() rejects the edge 2->1.
+        edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)]
+        assert [i.kind for i in validate(BehaviorDfa(3, edges, {2}, "0" * 64, 1))] == ["not-a-trie"]
+        # Classify [7] and read the matched path and the report record in a
+        # child process, so a path that loops fails the test instead of
+        # hanging it; the address-space cap stops a runaway path early.
+        reads = textwrap.dedent("""
+            import json, resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+            from behaviordfa.classify import classification_record, classify
+            from behaviordfa.dfa import BehaviorDfa, Transition
+            from behaviordfa.ingest import BehaviorTrace
+            edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)]
+            dfa = BehaviorDfa(3, edges, {2}, "0" * 64, 1)
+            outcome = classify(dfa, BehaviorTrace("t", ((7,),)))
+            print(json.dumps(outcome.match.matched_transitions))
+            print(json.dumps(classification_record(outcome)))
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", reads], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        matched, record = map(json.loads, proc.stdout.splitlines())
+        assert matched == [[0, 7, 1, 3]]
+        assert record["matched_behaviors"] == [7] and record["nearest_final_state"] == 2
+        assert record["denominator_path_behaviors"] == [7, 5]
+        assert record["match_percentage"] == "50"
 
 
 class TestValidate:

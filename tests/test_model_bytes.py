@@ -28,7 +28,7 @@ DOT_SHA256 = "a1e1a9ec255e928b3c5d4029284b9b8a5f66b2bb28a84813a5629af62011c691"
 
 def _patterns():
     rng = random.Random(20240607)
-    ids = sorted(spec.id for spec in default_catalog())
+    ids = sorted(spec.id for spec in default_catalog().entries)
     records = []
     for index in range(PATTERN_COUNT):
         steps = []
@@ -86,7 +86,7 @@ def _trace_lines(patterns):
     # flat ids, grouped steps or a mix of both; a few lines are malformed,
     # hold an id outside the catalog or repeat an earlier trace id.
     rng = random.Random(20240611)
-    ids = sorted(spec.id for spec in default_catalog())
+    ids = sorted(spec.id for spec in default_catalog().entries)
     lines = []
     for index in range(TRACE_COUNT):
         flat = list(rng.choice(patterns)["steps"])

@@ -185,3 +185,9 @@ def test_nearest_final_agrees_with_the_enumerating_reference(catalog, bodies):
         assert near.final_state == final
         assert sum(t.weight for t in near.forward_path) == cost
         assert near.denominator_weight == oracle_prefix_weight(dfa, state) + cost
+        assert near.denominator_path == dfa.path_from_initial(near.final_state)
+        here = state
+        for t in near.forward_path:  # a chain of forward edges from state to the final
+            assert t.source == here < t.target
+            here = t.target
+        assert here == near.final_state
