@@ -162,8 +162,11 @@ def _entries(doc: list) -> Iterator[BehaviorSpec]:
         yield BehaviorSpec(raw["id"], raw["name"], raw["weight"])
 
 
-def _read_json(source, error: type[Exception], what: str):
-    """The JSON document in bytes, text or a file of either; failures raise `error`."""
+def _read_json(source, error: type[Exception], what: str, object_hook=None):
+    """The JSON document in bytes, text or a file of either; failures raise `error`.
+
+    `object_hook` is passed on to json.loads().
+    """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
@@ -172,6 +175,6 @@ def _read_json(source, error: type[Exception], what: str):
         except UnicodeDecodeError as exc:
             raise error(f"{what} file is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(source)
+        return json.loads(source, object_hook=object_hook)
     except ValueError as exc:
         raise error(f"{what} file is not valid JSON: {exc}") from exc

@@ -319,9 +319,8 @@ class BatchSummary:
                 "benign": self.counts[Verdict.BENIGN],
             },
             "record_errors": self.record_errors,
-            "histogram": {
-                _percent_key(p): n for p, n in sorted(self.histogram.items())
-            },
+            # Keys are distinct, so sorting them alone gives the items' order.
+            "histogram": {_percent_key(p): self.histogram[p] for p in sorted(self.histogram)},
         }
         if self.cross_table is not None:
             doc["label_cross_table"] = {

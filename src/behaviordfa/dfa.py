@@ -23,9 +23,10 @@ one C-level copy and merge of the sorted edges. The one per-state lookup
 index is built on first use, so build and add never pay for it.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
-writes it from string templates, and deserialize() checks every field,
-in one pass over the transitions, and the trie shape before it returns a
-model.
+writes it from string templates. deserialize() has the JSON parser make
+each well-formed transition object a Transition as it goes, so the
+transitions are never held twice, then checks the remaining fields and
+the trie shape before it returns a model.
 """
 
 from __future__ import annotations
@@ -398,16 +399,22 @@ def _array(items: list[str]) -> str:
 def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     """Load a serialized model, verifying format and structural invariants.
 
-    A rejection names its place, e.g. `transition 12: "weight"` or `finals[3]`.
+    The JSON parser makes each well-formed transition object a Transition
+    (_transition_hook), so no parse tree of the transitions is built to be
+    copied. A rejection names its place, e.g. `transition 12: "weight"` or
+    `finals[3]`, and shows a value as the file spells it.
     """
-    doc = _read_json(source, ModelFormatError, "model")
+    doc = _read_json(source, ModelFormatError, "model", _transition_hook)
+    if type(doc) is Transition:  # a lone transition object is a document without a version
+        doc = _unhook(doc)
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
 
     version = doc.get("version")
     if type(version) is not int or version != MODEL_VERSION:
         raise ModelFormatError(
-            f"unsupported model version {version!r} (this build reads version {MODEL_VERSION})"
+            f"unsupported model version {_unhook(version)!r} "
+            f"(this build reads version {MODEL_VERSION})"
         )
     extra = set(doc) - _MODEL_KEYS
     if extra:
@@ -439,24 +446,15 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
         raise ModelFormatError(
             f"{states} states need at least {states - 1} transitions, got {len(raw_transitions)}"
         )
-    transitions: list[Transition] = []
-    for position, raw in enumerate(raw_transitions):
-        # type() rather than isinstance(): JSON gives exact types, and a bool is no integer here.
-        # A dict of four entries that holds the four keys has exactly those keys.
-        if type(raw) is not dict or len(raw) != 4:
-            raise _transition_error(position, raw)
-        try:
-            fields = (raw["from"], raw["on"], raw["to"], raw["weight"])
-        except KeyError:
-            raise _transition_error(position, raw) from None
-        source, behavior, target, weight = fields
-        if not (type(source) is type(behavior) is type(target) is type(weight) is int):
-            raise _transition_error(position, raw)
-        transitions.append(tuple.__new__(Transition, fields))
+    # The parser has made every well-formed entry a Transition (_transition_hook).
+    if set(map(type, raw_transitions)) - {Transition}:
+        for position, raw in enumerate(raw_transitions):
+            if type(raw) is not Transition:
+                raise _transition_error(position, raw)
 
     dfa = BehaviorDfa(
         state_count=states,
-        transitions=transitions,
+        transitions=raw_transitions,
         finals=finals,
         catalog_fingerprint=fingerprint,
         pattern_count=pattern_count,
@@ -468,6 +466,41 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
             listing += f"; and {len(issues) - _LISTED_ISSUES} more"
         raise ModelFormatError(f"model violates structural invariants: {listing}")
     return dfa
+
+
+def _transition_hook(obj: dict):
+    """An object of exactly the four transition keys, each an int, as a Transition; else `obj`."""
+    # A dict of four entries that holds the four keys has exactly those keys.
+    # type() rather than isinstance(): JSON gives exact types, and a bool is no integer here.
+    if len(obj) == 4:
+        try:
+            fields = obj["from"], obj["on"], obj["to"], obj["weight"]
+        except KeyError:
+            return obj
+        source, behavior, target, weight = fields
+        if type(source) is type(behavior) is type(target) is type(weight) is int:
+            return tuple.__new__(Transition, fields)
+    return obj
+
+
+def _unhook(value):
+    """`value` with every Transition the parser made turned back into its object.
+
+    Keys come back in the order serialize() writes them. Only a rejected
+    document is shown, so it is changed in place. A loop, not recursion:
+    JSON nests deeper than the Python stack allows one frame per level.
+    """
+    top = [value]
+    pending: list = [top]
+    while pending:
+        container = pending.pop()
+        for key in container.keys() if type(container) is dict else range(len(container)):
+            item = container[key]
+            if type(item) is Transition:
+                container[key] = dict(zip(_TRANSITION_FIELDS, item))
+            elif type(item) is list or type(item) is dict:
+                pending.append(item)
+    return top[0]
 
 
 def _require_int(value, where: str) -> int:
@@ -492,7 +525,7 @@ def _transition_error(position: int, raw) -> ModelFormatError:
 
 def _show(value) -> str:
     """A JSON value as the model file spells it, cut short if long."""
-    text = json.dumps(value)
+    text = json.dumps(_unhook(value))
     return text if len(text) <= 60 else text[:57] + "..."
 
 

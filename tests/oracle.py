@@ -13,8 +13,23 @@ import json
 import random
 from fractions import Fraction
 
-from behaviordfa.dfa import MODEL_VERSION, BehaviorDfa, Transition, _flatten_pattern
-from behaviordfa.errors import InternalInvariantError, TraceFormatError, UnknownBehaviorError
+from behaviordfa.dfa import (
+    _FINGERPRINT_RE,
+    _LISTED_ISSUES,
+    _MODEL_KEYS,
+    _TRANSITION_FIELDS,
+    MODEL_VERSION,
+    BehaviorDfa,
+    Transition,
+    _flatten_pattern,
+    validate,
+)
+from behaviordfa.errors import (
+    InternalInvariantError,
+    ModelFormatError,
+    TraceFormatError,
+    UnknownBehaviorError,
+)
 from behaviordfa.ingest import compress_runs
 
 from helpers import make_trace
@@ -199,6 +214,78 @@ def oracle_serialize(dfa: BehaviorDfa) -> bytes:
         ],
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def oracle_deserialize(text: str) -> BehaviorDfa:
+    """The model loader as it was before the JSON parser built the transitions.
+
+    It parses the whole document into dicts and lists, then decodes the
+    transitions entry by entry, so a value is shown exactly as the parser
+    gave it. deserialize() must accept the same models and reject the
+    rest with the same error.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError("model file must be a JSON object")
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_VERSION:
+        raise ModelFormatError(
+            f"unsupported model version {version!r} (this build reads version {MODEL_VERSION})"
+        )
+    if set(doc) - _MODEL_KEYS:
+        raise ModelFormatError(f"unexpected model keys {sorted(set(doc) - _MODEL_KEYS)}")
+    if _MODEL_KEYS - set(doc):
+        raise ModelFormatError(f"missing model keys {sorted(_MODEL_KEYS - set(doc))}")
+    fingerprint = doc["catalog_fingerprint"]
+    if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(fingerprint):
+        raise ModelFormatError("catalog fingerprint is corrupt (expected 64 hex digits)")
+    states = _oracle_int(doc["states"], '"states"')
+    if states < 1:
+        raise ModelFormatError(f"state count must be positive, got {states}")
+    pattern_count = _oracle_int(doc["pattern_count"], '"pattern_count"')
+    if pattern_count < 0:
+        raise ModelFormatError(f"pattern count must be non-negative, got {pattern_count}")
+    if not isinstance(doc["finals"], list):
+        raise ModelFormatError('"finals" must be an array')
+    finals = [_oracle_int(f, f"finals[{i}]") for i, f in enumerate(doc["finals"])]
+    raw_transitions = doc["transitions"]
+    if not isinstance(raw_transitions, list):
+        raise ModelFormatError('"transitions" must be an array')
+    if states > len(raw_transitions) + 1:
+        raise ModelFormatError(
+            f"{states} states need at least {states - 1} transitions, got {len(raw_transitions)}"
+        )
+    transitions = []
+    for position, raw in enumerate(raw_transitions):
+        if type(raw) is not dict or raw.keys() != set(_TRANSITION_FIELDS):
+            raise ModelFormatError(
+                f"transition {position}: expected an object with keys "
+                f"{sorted(_TRANSITION_FIELDS)}, got {_oracle_show(raw)}"
+            )
+        fields = [_oracle_int(raw[k], f'transition {position}: "{k}"') for k in _TRANSITION_FIELDS]
+        transitions.append(Transition(*fields))
+    dfa = BehaviorDfa(states, transitions, finals, fingerprint, pattern_count)
+    issues = validate(dfa)
+    if issues:
+        listing = "; ".join(f"{i.kind}: {i.detail}" for i in issues[:_LISTED_ISSUES])
+        if len(issues) > _LISTED_ISSUES:
+            listing += f"; and {len(issues) - _LISTED_ISSUES} more"
+        raise ModelFormatError(f"model violates structural invariants: {listing}")
+    return dfa
+
+
+def _oracle_int(value, where: str) -> int:
+    if type(value) is not int:
+        raise ModelFormatError(f"{where} must be an integer, got {_oracle_show(value)}")
+    return value
+
+
+def _oracle_show(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def random_patterns(rng: random.Random, alphabet, max_patterns=5, max_len=8):

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
+import re
+import runpy
 import stat
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+from behaviordfa import cli
 from behaviordfa.catalog import default_catalog
 from behaviordfa.cli import main
 from behaviordfa.dfa import BehaviorDfa, Transition, deserialize, serialize
@@ -548,3 +553,153 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n0 False\n"
         assert '"verdict": "partially_malign"' in report.read_text(encoding="utf-8")
+
+
+def _module_cli(*args, **kwargs):
+    """`python -m behaviordfa ARGS`, which goes through cli.run(), as a completed process."""
+    return subprocess.run(
+        [sys.executable, "-m", "behaviordfa", *map(str, args)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        **kwargs,
+    )
+
+
+class TestProcessEntry:
+    """cli.run(), the process entry: what main() returns, with nothing lost at exit."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_report_on_stdout_equals_the_out_file(self, tmp_path, model_file, fmt):
+        traces = write_jsonl(
+            tmp_path / "t.jsonl",
+            [{"id": f"t{i}", "steps": PATTERN_A[: i % 12 + 1], "label": "malicious"}
+             for i in range(300)],
+        )
+        report = tmp_path / f"report.{fmt}"
+        flags = ["classify", "--model", model_file, "--traces", traces, "--format", fmt]
+        to_file = _module_cli(*flags, "--out", report)
+        to_stdout = _module_cli(*flags)
+        assert (to_file.returncode, to_stdout.returncode) == (0, 0), to_stdout.stderr
+        assert to_file.stdout == b""
+        assert to_stdout.stdout == report.read_bytes()
+        assert to_stdout.stderr == to_file.stderr == b"malign:75 partial:225 benign:0\n"
+
+    def test_a_model_built_to_stdout_loads(self, pattern_file, model_file):
+        proc = _module_cli("build", "--patterns", pattern_file)
+        assert proc.returncode == 0, proc.stderr
+        assert deserialize(proc.stdout) == deserialize(model_file.read_bytes())
+
+    def test_a_missing_model_exits_one(self, tmp_path):
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [7]}])
+        proc = _module_cli("classify", "--model", tmp_path / "absent.json", "--traces", traces)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stdout == b""
+
+    def test_help_exits_zero(self):
+        proc = _module_cli("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"usage: behaviordfa")
+
+    def test_run_raises_the_collector_threshold_and_skips_teardown(self, tmp_path, model_file):
+        # An atexit handler runs only if the interpreter tears itself down.
+        script = (
+            "import atexit, gc, sys\n"
+            "import behaviordfa.cli as cli\n"
+            "atexit.register(print, 'teardown')\n"
+            "main = cli.main\n"
+            "cli.main = lambda: print(gc.get_threshold()[0]) or main()\n"
+            "sys.argv[1:] = ['export-dot', '--model', sys.argv[1]]\n"
+            "cli.run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(model_file)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        threshold, dot = proc.stdout.split("\n", 1)
+        assert threshold == "100000"
+        assert dot.startswith("digraph behavior_dfa {") and dot.endswith("}\n")
+
+    def test_a_failed_flush_exits_through_sys_exit(self, monkeypatch):
+        class Unflushable:
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(gc, "set_threshold", lambda *_: None)
+        monkeypatch.setattr("behaviordfa.cli.main", lambda: 3)
+        monkeypatch.setattr(sys, "stdout", Unflushable())
+        monkeypatch.setattr(os, "_exit", pytest.fail)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run()
+        assert excinfo.value.code == 3
+
+    def test_main_leaves_the_collector_threshold_alone(self, tmp_path, model_file, capsys):
+        before = gc.get_threshold()
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [7]}])
+        assert main(["classify", "--model", str(model_file), "--traces", str(traces)]) == 0
+        assert gc.get_threshold() == before
+
+    def test_the_module_and_the_console_script_both_reach_run(self, monkeypatch):
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        module, attr = re.fullmatch(r'behaviordfa = "(.+):(.+)"\n', scripts).groups()
+        assert getattr(import_module(module), attr) is cli.run
+        reached = []
+        monkeypatch.setattr(cli, "run", lambda: reached.append("run"))
+        runpy.run_module("behaviordfa", run_name="__main__")
+        assert reached == ["run"]
+
+
+class TestCollectorAssumption:
+    """run() raises the collector's threshold because a command's objects hold no cycles.
+
+    A cycle made per record would make that threshold a memory leak, so a
+    classify of ten times the records must leave exactly as much garbage
+    for the collector as a classify of the first tenth.
+    """
+
+    LINES = [
+        json.dumps({"id": "good-{}", "steps": [7, [5, 1], 1, 1], "label": "malicious"}),
+        '{"id": "bad-json-{}", "steps": [7',
+        json.dumps({"id": "unknown-{}", "steps": [7, 999]}),
+        json.dumps({"id": "empty-step-{}", "steps": [7, []]}),
+        json.dumps({"id": "repeat-{}", "steps": [[7, 7]]}),
+        json.dumps({"steps": [7]}),
+        json.dumps({"id": "negative-{}", "steps": [-1]}),
+        json.dumps({"id": "good-{}-b", "steps": PATTERN_B}),
+    ]
+
+    def traces(self, path: Path, copies: int) -> Path:
+        text = "".join(
+            line.replace("{}", str(i)) + "\n" for i in range(copies) for line in self.LINES
+        )
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_garbage_does_not_grow_with_the_records(self, tmp_path, model_file):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_bytes(default_catalog().to_json())
+        few = self.traces(tmp_path / "few.jsonl", 20)
+        many = self.traces(tmp_path / "many.jsonl", 200)
+
+        def classify(traces) -> int:
+            argv = ["--quiet", "classify", "--model", str(model_file), "--traces", str(traces),
+                    "--catalog", str(catalog), "--out", str(tmp_path / "report.json")]
+            assert main(argv) == 0
+            return gc.collect()
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            classify(few)  # one-time objects (caches, lazy imports) settle here
+            found = [classify(few), classify(many)]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert found[0] == found[1]
+        report = json.loads((tmp_path / "report.json").read_text().splitlines()[-1])
+        assert report["summary"]["record_errors"] == 6 * 200

@@ -595,6 +595,48 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=f'^"{key}" must be an integer, got "x"$'):
             deserialize(json.dumps(doc))
 
+    # The parser makes every well-formed transition object a Transition,
+    # wherever it stands; out of its place it is still shown as an object.
+    TRANSITION = {"from": 0, "on": 7, "to": 1, "weight": 3}
+    SHOWN = '{"from": 0, "on": 7, "to": 1, "weight": 3}'
+
+    def test_a_transition_object_as_a_final_is_shown_as_an_object(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["finals"][0] = self.TRANSITION
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == f"finals[0] must be an integer, got {self.SHOWN}"
+
+    def test_a_transition_object_as_the_state_count_is_shown_as_an_object(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["states"] = [self.TRANSITION]
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc, indent=2))
+        assert str(raised.value) == f'"states" must be an integer, got [{self.SHOWN}]'
+
+    def test_a_deeply_nested_bad_value_is_shown(self, seed_dfa):
+        # Nesting that the JSON parser accepts but one Python frame per level would not.
+        text = serialize(seed_dfa).decode().replace(
+            '"states": 11', '"states": ' + "[" * 900 + json.dumps(self.TRANSITION) + "]" * 900
+        )
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(text)
+        assert str(raised.value) == '"states" must be an integer, got ' + "[" * 57 + "..."
+
+    def test_a_transition_object_as_the_document_has_no_version(self):
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(self.TRANSITION))
+        assert str(raised.value) == "unsupported model version None (this build reads version 1)"
+
+    def test_a_transition_object_as_the_version_is_shown_as_a_dict(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["version"] = self.TRANSITION
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value).startswith(
+            f"unsupported model version {self.TRANSITION!r} (this build"
+        )
+
     def test_long_bad_values_are_cut_short(self, seed_dfa):
         doc = json.loads(serialize(seed_dfa))
         doc["finals"][0] = list(range(1000))

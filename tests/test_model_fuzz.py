@@ -7,7 +7,10 @@ writes such model documents by hand, then optionally corrupts one field,
 the finals or the state count. Each document must either be rejected
 with ModelFormatError, or classify every generated trace exactly as the
 enumerating reference in oracle.py does, without any other error, and
-grow by more patterns exactly as the reference grower does.
+grow by more patterns exactly as the reference grower does. A third test
+loads the same documents, with one more value, key or key order changed,
+both through deserialize() and through the reference loader, which
+decodes the transitions entry by entry after the parse.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from behaviordfa.dfa import _grow, add_pattern, build_dfa, deserialize
 from behaviordfa.errors import EngineError, InternalInvariantError, ModelFormatError
 
 from helpers import make_trace
-from oracle import oracle_classify, oracle_grow, oracle_walk
+from oracle import oracle_classify, oracle_deserialize, oracle_grow, oracle_walk
 
 ALPHABET = (1, 5, 7, 11)
 POOL = ALPHABET + (9,)  # 9 labels no transition
@@ -197,3 +200,51 @@ def test_growing_a_model_matches_the_reference(catalog, base, data):
         return grown
 
     assert _outcome(one_at_a_time) == expected
+
+
+# What a changed value becomes: a bool, a float, a string, or a
+# well-formed transition object out of its place.
+odd_values = st.one_of(
+    st.booleans(),
+    st.sampled_from((0.0, 1.0, 2.5, -1.0)),
+    st.sampled_from(("", "1", "from")),
+    st.builds(lambda *v: dict(zip(FIELDS, v)), *[st.integers(0, 3)] * 4),
+)
+
+
+@st.composite
+def changed_documents(draw):
+    """A trie document with one value, key or key order of it changed, or none."""
+    doc, _ = draw(trie_documents())
+    places = [doc] + doc["transitions"]
+    target = draw(st.sampled_from(places))
+    change = draw(st.sampled_from((None, "value", "finals", "drop", "add", "reorder")))
+    if change == "value":
+        target[draw(st.sampled_from(sorted(target)))] = draw(odd_values)
+    elif change == "finals" and doc["finals"]:
+        doc["finals"][draw(st.integers(0, len(doc["finals"]) - 1))] = draw(odd_values)
+    elif change == "drop":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif change == "add":
+        target[draw(st.sampled_from(("extra", "from", "version")))] = draw(odd_values)
+    elif change == "reorder":
+        items = list(target.items())
+        target.clear()
+        target.update(draw(st.permutations(items)))
+    return doc
+
+
+def _load(loader, text):
+    """The loaded model, or the type and message of what loading raised."""
+    try:
+        return loader(text)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+# Budget: 200 documents, two spellings each.
+@settings(max_examples=200, deadline=None)
+@given(changed_documents())
+def test_deserialize_accepts_and_rejects_as_the_entry_by_entry_loader(doc):
+    for text in (json.dumps(doc), json.dumps(doc, indent=2)):
+        assert _load(deserialize, text) == _load(oracle_deserialize, text)
