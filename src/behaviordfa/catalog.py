@@ -176,5 +176,5 @@ def _read_json(source, error: type[Exception], what: str, object_hook=None):
             raise error(f"{what} file is not valid UTF-8: {exc}") from exc
     try:
         return json.loads(source, object_hook=object_hook)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise error(f"{what} file is not valid JSON: {exc}") from exc

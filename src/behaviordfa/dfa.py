@@ -25,8 +25,8 @@ index is built on first use, so build and add never pay for it.
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
 writes it from string templates. deserialize() has the JSON parser make
 each well-formed transition object a Transition as it goes, so the
-transitions are never held twice, then checks the remaining fields and
-the trie shape before it returns a model.
+transitions are never held twice, then checks the fields and the trie
+shape. A rejected file's error is worded from a second, plain parse.
 """
 
 from __future__ import annotations
@@ -401,20 +401,29 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
 
     The JSON parser makes each well-formed transition object a Transition
     (_transition_hook), so no parse tree of the transitions is built to be
-    copied. A rejection names its place, e.g. `transition 12: "weight"` or
-    `finals[3]`, and shows a value as the file spells it.
+    copied. A rejected file is parsed again without the hook, and its error
+    worded from that plain parse names its place, e.g. `finals[3]`, and
+    shows a value as the file spells it, key order included.
     """
+    if hasattr(source, "read"):
+        source = source.read()
     doc = _read_json(source, ModelFormatError, "model", _transition_hook)
-    if type(doc) is Transition:  # a lone transition object is a document without a version
-        doc = _unhook(doc)
+    try:
+        return _model(doc)
+    except ModelFormatError:
+        pass  # rejected: worded below from a plain parse, with no hooked error chained to it
+    return _model(_read_json(source, ModelFormatError, "model"))
+
+
+def _model(doc) -> BehaviorDfa:
+    """The model that parsed document `doc` holds, with or without the parser's Transitions."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
 
     version = doc.get("version")
     if type(version) is not int or version != MODEL_VERSION:
         raise ModelFormatError(
-            f"unsupported model version {_unhook(version)!r} "
-            f"(this build reads version {MODEL_VERSION})"
+            f"unsupported model version {version!r} (this build reads version {MODEL_VERSION})"
         )
     extra = set(doc) - _MODEL_KEYS
     if extra:
@@ -446,8 +455,9 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
         raise ModelFormatError(
             f"{states} states need at least {states - 1} transitions, got {len(raw_transitions)}"
         )
-    # The parser has made every well-formed entry a Transition (_transition_hook).
+    # The hooked parse has made every well-formed entry a Transition; a plain one has not.
     if set(map(type, raw_transitions)) - {Transition}:
+        raw_transitions = [_transition_hook(t) if type(t) is dict else t for t in raw_transitions]
         for position, raw in enumerate(raw_transitions):
             if type(raw) is not Transition:
                 raise _transition_error(position, raw)
@@ -483,26 +493,6 @@ def _transition_hook(obj: dict):
     return obj
 
 
-def _unhook(value):
-    """`value` with every Transition the parser made turned back into its object.
-
-    Keys come back in the order serialize() writes them. Only a rejected
-    document is shown, so it is changed in place. A loop, not recursion:
-    JSON nests deeper than the Python stack allows one frame per level.
-    """
-    top = [value]
-    pending: list = [top]
-    while pending:
-        container = pending.pop()
-        for key in container.keys() if type(container) is dict else range(len(container)):
-            item = container[key]
-            if type(item) is Transition:
-                container[key] = dict(zip(_TRANSITION_FIELDS, item))
-            elif type(item) is list or type(item) is dict:
-                pending.append(item)
-    return top[0]
-
-
 def _require_int(value, where: str) -> int:
     if type(value) is not int:
         raise ModelFormatError(f"{where} must be an integer, got {_show(value)}")
@@ -525,8 +515,12 @@ def _transition_error(position: int, raw) -> ModelFormatError:
 
 def _show(value) -> str:
     """A JSON value as the model file spells it, cut short if long."""
-    text = json.dumps(_unhook(value))
-    return text if len(text) <= 60 else text[:57] + "..."
+    text = ""
+    for chunk in json.JSONEncoder().iterencode(value):  # lazy: encoded only as deep as shown
+        text += chunk
+        if len(text) > 60:
+            return text[:57] + "..."
+    return text
 
 
 def export_dot(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> str:

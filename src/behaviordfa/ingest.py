@@ -120,7 +120,7 @@ def _parse_record(text, line_no, known, seen_ids):
     """One checked trace; `known` is the catalog's id set, or None to accept any id."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TraceFormatError(f"not valid JSON: {exc}", line=line_no) from exc
     if not isinstance(obj, dict):
         raise TraceFormatError("record is not a JSON object", line=line_no)

@@ -101,6 +101,14 @@ class TestBuild:
         assert code == 1
         assert "'oops'" in capsys.readouterr().err
 
+    def test_a_pattern_line_nested_too_deep_fails(self, tmp_path, capsys):
+        patterns = tmp_path / "p.jsonl"
+        deep = '{"id": "deep", "steps": ' + "[" * 5000 + "7" + "]" * 5000 + "}\n"
+        patterns.write_text(deep, encoding="utf-8")
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "line 1: not valid JSON" in capsys.readouterr().err
+
     def test_no_partial_model_is_left_behind_on_failure(self, tmp_path):
         bad = write_jsonl(tmp_path / "p.jsonl", [{"id": "x", "steps": [99]}])
         out = tmp_path / "model.json"
@@ -335,6 +343,20 @@ class TestClassify:
         assert lines[1]["line"] == 2
         assert lines[2]["summary"]["record_errors"] == 1
 
+    def test_a_line_nested_too_deep_is_one_record_error(self, tmp_path, model_file, capsys):
+        traces = tmp_path / "traces.jsonl"
+        deep = '{"id": "deep", "steps": ' + "[" * 5000 + "7" + "]" * 5000 + "}"
+        good = json.dumps({"id": "ok", "steps": [7]})
+        traces.write_text(deep + "\n" + good + "\n", encoding="utf-8")
+        code = main(["classify", "--model", str(model_file), "--traces", str(traces)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "errors:1" in captured.err
+        error, record, summary = [json.loads(line) for line in captured.out.splitlines()]
+        assert error["line"] == 1 and "not valid JSON" in error["error"]
+        assert record["id"] == "ok"
+        assert summary["summary"]["record_errors"] == 1
+
     def test_catalog_flag_turns_on_id_validation(self, tmp_path, model_file, capsys):
         traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [999]}])
         code = main(["classify", "--model", str(model_file), "--traces", str(traces)])
@@ -365,6 +387,15 @@ class TestClassify:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--model", "--catalog"])
+    def test_a_file_nested_too_deep_is_a_user_error(self, tmp_path, model_file, flag, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [7]}])
+        inputs = {"--model": str(model_file), "--traces": str(traces), flag: str(deep)}
+        code = main(["classify"] + [arg for item in inputs.items() for arg in item])
+        assert code == 1
+        assert f"{flag[2:]} file is not valid JSON" in capsys.readouterr().err
 
     def test_model_that_is_not_a_trie_is_a_user_error(self, tmp_path, capsys):
         # State 3 is entered from both 1 and 2. Unchecked, the walk [11, 1]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from behaviordfa.errors import (
     PatternError,
     UnknownBehaviorError,
 )
+from behaviordfa import catalog as catalog_module
 from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec
 
 from helpers import PATTERN_A, PATTERN_B, make_trace
@@ -636,6 +638,42 @@ class TestSerialization:
         assert str(raised.value).startswith(
             f"unsupported model version {self.TRANSITION!r} (this build"
         )
+
+    def test_a_transition_object_out_of_place_keeps_its_key_order(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["finals"][0] = {"weight": 3, "to": 1, "from": 0, "on": 7}
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        shown = '{"weight": 3, "to": 1, "from": 0, "on": 7}'
+        assert str(raised.value) == f"finals[0] must be an integer, got {shown}"
+
+    def test_an_accepted_file_is_parsed_once_and_a_rejected_one_twice(
+        self, seed_dfa, monkeypatch
+    ):
+        hooked = []  # per parse: was an object_hook given?
+        loads = json.loads
+
+        def spy(text, **kwargs):
+            hooked.append(kwargs.get("object_hook") is not None)
+            return loads(text, **kwargs)
+
+        monkeypatch.setattr(catalog_module.json, "loads", spy)
+        data = serialize(seed_dfa)
+        assert deserialize(data) == seed_dfa
+        assert hooked == [True]
+        hooked.clear()
+        with pytest.raises(ModelFormatError, match="bad-weight"):
+            deserialize(data.replace(b'"weight": 3', b'"weight": 0', 1))
+        assert hooked == [True, False]
+        hooked.clear()
+        with pytest.raises(ModelFormatError, match="not valid JSON"):
+            deserialize(data[:40])
+        assert hooked == [True]
+
+    def test_a_rejected_file_object_is_read_once(self, seed_dfa):
+        data = serialize(seed_dfa).replace(b'"states": 11', b'"states": "11"')
+        with pytest.raises(ModelFormatError, match='^"states" must be an integer, got "11"$'):
+            deserialize(io.BytesIO(data))
 
     def test_long_bad_values_are_cut_short(self, seed_dfa):
         doc = json.loads(serialize(seed_dfa))

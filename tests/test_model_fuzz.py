@@ -203,12 +203,16 @@ def test_growing_a_model_matches_the_reference(catalog, base, data):
 
 
 # What a changed value becomes: a bool, a float, a string, or a
-# well-formed transition object out of its place.
+# well-formed transition object out of its place, its keys in file order
+# or in any other.
 odd_values = st.one_of(
     st.booleans(),
     st.sampled_from((0.0, 1.0, 2.5, -1.0)),
     st.sampled_from(("", "1", "from")),
     st.builds(lambda *v: dict(zip(FIELDS, v)), *[st.integers(0, 3)] * 4),
+    st.builds(
+        lambda keys, *v: dict(zip(keys, v)), st.permutations(FIELDS), *[st.integers(0, 3)] * 4
+    ),
 )
 
 
