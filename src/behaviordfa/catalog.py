@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
-from .errors import CatalogError, UnknownBehaviorError
+from .errors import CatalogError, UnknownBehaviorError, brief
 
 
 class BehaviorSpec(NamedTuple):
@@ -44,12 +44,15 @@ _ENTRY_KEYS = {"id", "name", "weight"}
 
 def _check_spec(spec: BehaviorSpec, where: str) -> None:
     if isinstance(spec.id, bool) or not isinstance(spec.id, int) or spec.id < 0:
-        raise CatalogError(f"{where}: behavior id must be a non-negative integer, got {spec.id!r}")
+        raise CatalogError(
+            f"{where}: behavior id must be a non-negative integer, got {brief(spec.id)}"
+        )
     if not isinstance(spec.name, str) or not spec.name:
         raise CatalogError(f"{where}: behavior {spec.id}: name must be a non-empty string")
     if isinstance(spec.weight, bool) or not isinstance(spec.weight, int) or spec.weight < 1:
         raise CatalogError(
-            f"{where}: behavior {spec.id} ({spec.name!r}): non-positive weight {spec.weight!r}"
+            f"{where}: behavior {spec.id} ({brief(spec.name)}): "
+            f"non-positive weight {brief(spec.weight)}"
         )
 
 
@@ -69,7 +72,7 @@ class BehaviorCatalog:
             if spec.id in by_id:
                 raise CatalogError(f"{where}: duplicate behavior id {spec.id}")
             if spec.name in names:
-                raise CatalogError(f"{where}: duplicate behavior name {spec.name!r}")
+                raise CatalogError(f"{where}: duplicate behavior name {brief(spec.name)}")
             by_id[spec.id] = spec
             names.add(spec.name)
         self._by_id = by_id

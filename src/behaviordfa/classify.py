@@ -12,7 +12,8 @@ The model is a trie, so the walk's edges are the unique path to its end
 state and the denominator is a lookup: the model derives once, per
 state, the weight from the initial state and the nearest final below
 it, whose own weight from the initial state is the denominator. The
-walk therefore tracks only its state, one out-table lookup per step,
+walk therefore tracks only its state, one out-table lookup per step
+but one per run on a self-loop, where the same step object repeats,
 and classify() builds no path: the explanation fields of a result
 (matched_transitions, matched_weight, forward_path, denominator_path)
 are read off the model's tables when a caller reads them, each path by
@@ -141,16 +142,23 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     weight wins, ties broken by smallest behavior id. The walk keeps only
     its state: in a trie the edges it took are the path to that state, so
     the result reads them, and their weight, off the model when asked.
-    Self-loops consume a step and add no edge.
+    Self-loops consume a step and add no edge. A self-loop leaves the
+    state as it was, so the steps after it that are the same object (a
+    parsed trace shares one tuple per id) are consumed with no lookup:
+    a run costs one lookup however long it is. Equal but distinct step
+    tuples take the lookup, with the same result.
     """
     out = dfa._tables[0]
     finals = dfa.finals
+    steps = trace.steps
+    count = len(steps)
     state = 0
     consumed = 0
     diverged = False
     reached = state in finals
     if not reached:
-        for step in trace.steps:
+        while consumed < count:
+            step = steps[consumed]
             if len(step) == 1:
                 transition = out[state].get(step[0])
             else:
@@ -169,11 +177,20 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
                 diverged = True
                 break
             consumed += 1
-            state = transition.target
+            target = transition[2]
+            if target == state:
+                # A self-loop leaves the state and its out table as they
+                # were, so each following step that is this same object
+                # takes the same loop again.
+                while consumed < count and steps[consumed] is step:
+                    consumed += 1
+                continue
+            state = target
             if state in finals:
                 reached = True
                 break
-    return MatchResult(state, consumed, diverged, reached, dfa)
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    return tuple.__new__(MatchResult, (state, consumed, diverged, reached, dfa))
 
 
 def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
@@ -194,7 +211,7 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     final = nearest[from_state]
     if final is None:
         raise NoFinalReachableError(f"no final state is reachable from state {from_state}")
-    return NearestFinal(final, prefix[final], from_state, dfa)
+    return tuple.__new__(NearestFinal, (final, prefix[final], from_state, dfa))
 
 
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
@@ -240,14 +257,19 @@ def classify(dfa: BehaviorDfa, trace: BehaviorTrace) -> Classification:
     match = match_prefix(dfa, trace)
     if match.reached_final:
         nearest = nearest_final(dfa, match.end_state)
-        return Classification(trace.trace_id, trace.label, Verdict.MALIGN, _HUNDRED, match, nearest)
+        return tuple.__new__(
+            Classification, (trace.trace_id, trace.label, Verdict.MALIGN, _HUNDRED, match, nearest)
+        )
     matched_weight = match.matched_weight
     if matched_weight == 0:
-        return Classification(trace.trace_id, trace.label, Verdict.BENIGN, _ZERO, match, None)
+        return tuple.__new__(
+            Classification, (trace.trace_id, trace.label, Verdict.BENIGN, _ZERO, match, None)
+        )
     nearest = nearest_final(dfa, match.end_state)
     percentage = match_percentage(matched_weight, nearest.denominator_weight)
-    return Classification(
-        trace.trace_id, trace.label, Verdict.PARTIALLY_MALIGN, percentage, match, nearest
+    return tuple.__new__(
+        Classification,
+        (trace.trace_id, trace.label, Verdict.PARTIALLY_MALIGN, percentage, match, nearest),
     )
 
 

@@ -44,6 +44,7 @@ from .errors import (
     ModelFormatError,
     PatternError,
     UnknownBehaviorError,
+    brief,
 )
 from .ingest import BehaviorTrace, compress_runs
 
@@ -216,12 +217,12 @@ def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:
     for index, step in enumerate(pattern.steps):
         if len(step) != 1:
             raise PatternError(
-                f"pattern {pattern.trace_id!r}: step {index} holds "
+                f"pattern {brief(pattern.trace_id)}: step {index} holds "
                 f"{len(step)} behaviors; patterns must use single-behavior steps"
             )
         flat.append(step[0])
     if not flat:
-        raise PatternError(f"pattern {pattern.trace_id!r} is empty")
+        raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
     return flat
 
 
@@ -244,7 +245,7 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
             try:
                 weight = catalog.weight_of(behavior)
             except UnknownBehaviorError:
-                context = f"pattern {pattern.trace_id!r}"
+                context = f"pattern {brief(pattern.trace_id)}"
                 raise UnknownBehaviorError(behavior, context=context) from None
             key = (state, behavior)
             existing = added.get(key)
@@ -423,7 +424,7 @@ def _model(doc) -> BehaviorDfa:
     version = doc.get("version")
     if type(version) is not int or version != MODEL_VERSION:
         raise ModelFormatError(
-            f"unsupported model version {version!r} (this build reads version {MODEL_VERSION})"
+            f"unsupported model version {brief(version)} (this build reads version {MODEL_VERSION})"
         )
     extra = set(doc) - _MODEL_KEYS
     if extra:

@@ -9,6 +9,14 @@ the trie shape is rejected on load as a ModelFormatError.
 
 from __future__ import annotations
 
+_SHOWN = 60  # longest input value an error message quotes
+
+
+def brief(value) -> str:
+    """repr(value) for an error message, cut to 60 characters if longer."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
+
 
 class EngineError(Exception):
     """Base class for user-facing input and configuration errors."""

@@ -19,7 +19,7 @@ import json
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .catalog import BehaviorCatalog
-from .errors import EngineError, TraceFormatError, UnknownBehaviorError
+from .errors import EngineError, TraceFormatError, UnknownBehaviorError, brief
 
 LABELS = ("malicious", "benign")
 
@@ -129,17 +129,17 @@ def _parse_record(text, line_no, known, seen_ids):
     if not isinstance(trace_id, str) or not trace_id:
         raise TraceFormatError("missing or non-string 'id'", line=line_no)
     if trace_id in seen_ids:
-        raise TraceFormatError(f"duplicate trace id {trace_id!r}", line=line_no)
+        raise TraceFormatError(f"duplicate trace id {brief(trace_id)}", line=line_no)
 
     label = obj.get("label")
     if label is not None and label not in LABELS:
         raise TraceFormatError(
-            f"trace {trace_id!r}: label must be one of {LABELS} or null", line=line_no
+            f"trace {brief(trace_id)}: label must be one of {LABELS} or null", line=line_no
         )
 
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):
-        raise TraceFormatError(f"trace {trace_id!r}: 'steps' must be an array", line=line_no)
+        raise TraceFormatError(f"trace {brief(trace_id)}: 'steps' must be an array", line=line_no)
 
     steps: list[tuple[int, ...]] = []
     checked: dict[int, tuple[int]] = {}  # id -> its one-id step, checked once per record
@@ -152,24 +152,24 @@ def _parse_record(text, line_no, known, seen_ids):
                 continue
         step = tuple(entry) if type(entry) is list else (entry,)
         if not step:
-            raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty", line=line_no)
+            raise TraceFormatError(f"trace {brief(trace_id)}: step {index} is empty", line=line_no)
         earlier = set() if len(step) > 1 else None  # keeps the repeat check linear in the step
         # Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
         for b in step:
             if type(b) is not int or b < 0:
                 raise TraceFormatError(
-                    f"trace {trace_id!r}: step {index} holds {b!r}, "
+                    f"trace {brief(trace_id)}: step {index} holds {brief(b)}, "
                     "expected a non-negative integer behavior id",
                     line=line_no,
                 )
             if earlier is not None:
                 if b in earlier:
                     raise TraceFormatError(
-                        f"trace {trace_id!r}: step {index} repeats behavior {b}", line=line_no
+                        f"trace {brief(trace_id)}: step {index} repeats behavior {b}", line=line_no
                     )
                 earlier.add(b)
             if known is not None and b not in known:
-                raise UnknownBehaviorError(b, context=f"trace {trace_id!r}, step {index}")
+                raise UnknownBehaviorError(b, context=f"trace {brief(trace_id)}, step {index}")
         if earlier is None:
             checked[step[0]] = step
         steps.append(step)

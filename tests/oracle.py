@@ -70,6 +70,22 @@ def oracle_walk(dfa: BehaviorDfa, steps):
     return state, matched, matched_weight, diverged, reached
 
 
+def oracle_consumed(dfa: BehaviorDfa, steps) -> int:
+    """How many steps the prefix walk consumes, replayed off the transition list.
+
+    The walk stops on a final state, or before the first step with no
+    transition out of its state; self-loop steps count like any other.
+    """
+    state = 0
+    for consumed, step in enumerate(steps):
+        behaviors = (step,) if isinstance(step, int) else tuple(step)
+        candidates = [t for t in dfa.transitions if t.source == state and t.behavior in behaviors]
+        if state in dfa.finals or not candidates:
+            return consumed
+        state = min(candidates, key=lambda t: (-t.weight, t.behavior)).target
+    return len(steps)
+
+
 def oracle_nearest(dfa: BehaviorDfa, start):
     """Cheapest final ahead of `start` by enumerating all simple paths.
 

@@ -97,6 +97,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="non-negative integer"):
             load([entry(-1, "A", 1)])
 
+    def test_a_long_bad_id_is_quoted_cut_short(self):
+        wide = list(range(100_000))
+        with pytest.raises(CatalogError) as raised:
+            load([entry(wide, "A", 1)])
+        assert str(raised.value) == (
+            f"entry 1: behavior id must be a non-negative integer, got {repr(wide)[:57]}..."
+        )
+
     def test_rejects_boolean_weight(self):
         with pytest.raises(CatalogError):
             load([entry(1, "A", True)])

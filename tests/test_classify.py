@@ -24,7 +24,7 @@ from behaviordfa.classify import (
 )
 from behaviordfa.dfa import BehaviorDfa, Transition, build_dfa
 from behaviordfa.errors import InternalInvariantError, NoFinalReachableError
-from behaviordfa.ingest import RecordError
+from behaviordfa.ingest import RecordError, parse_traces
 
 from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
 
@@ -90,6 +90,24 @@ class TestMatchPrefix:
         many = match_prefix(seed_dfa, make_trace([7, 5] + [1] * 30))
         assert few.end_state == many.end_state == 3
         assert few.matched_weight == many.matched_weight == 8
+
+    def test_a_run_on_a_self_loop_costs_one_lookup(self, catalog):
+        dfa = build_dfa([make_trace(PATTERN_A)], catalog)
+        looked_up = []
+
+        class CountingTable(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return dict.get(self, key, default)
+
+        out = dfa._tables[0]
+        out[:] = [CountingTable(table) for table in out]
+        line = json.dumps({"id": "run", "steps": [7, 5] + [1] * 10_000})
+        (trace,) = parse_traces([line])  # the parser shares one (1,) tuple across the run
+        result = match_prefix(dfa, trace)
+        assert result.end_state == 3 and result.consumed_steps == 10_002
+        # One lookup per forward edge (7, 5, 1) and one for the run on q3's self-loop.
+        assert looked_up == [7, 5, 1, 1]
 
 
 class TestNearestFinal:

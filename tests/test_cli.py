@@ -109,6 +109,15 @@ class TestBuild:
         assert code == 1
         assert "line 1: not valid JSON" in capsys.readouterr().err
 
+    def test_a_step_holding_a_long_list_fails_with_a_short_message(self, tmp_path, capsys):
+        patterns = write_jsonl(
+            tmp_path / "p.jsonl", [{"id": "wide", "steps": [[list(range(100_000))]]}]
+        )
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "step 0 holds [0, 1, 2" in err and len(err) < 300
+
     def test_no_partial_model_is_left_behind_on_failure(self, tmp_path):
         bad = write_jsonl(tmp_path / "p.jsonl", [{"id": "x", "steps": [99]}])
         out = tmp_path / "model.json"
@@ -356,6 +365,20 @@ class TestClassify:
         assert error["line"] == 1 and "not valid JSON" in error["error"]
         assert record["id"] == "ok"
         assert summary["summary"]["record_errors"] == 1
+
+    def test_a_step_holding_a_long_list_is_one_short_record_error(
+        self, tmp_path, model_file, capsys
+    ):
+        traces = write_jsonl(
+            tmp_path / "traces.jsonl",
+            [{"id": "wide", "steps": [[list(range(100_000))]]}, {"id": "ok", "steps": [7]}],
+        )
+        code = main(["classify", "--model", str(model_file), "--traces", str(traces)])
+        assert code == 0
+        error, record, summary = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert error["line"] == 1 and "step 0 holds [0, 1, 2" in error["error"]
+        assert len(error["error"]) < 200
+        assert record["id"] == "ok" and summary["summary"]["record_errors"] == 1
 
     def test_catalog_flag_turns_on_id_validation(self, tmp_path, model_file, capsys):
         traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [999]}])

@@ -500,6 +500,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="unsupported model version"):
             deserialize(json.dumps(doc))
 
+    def test_a_long_version_is_quoted_cut_short(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["version"] = list(range(100_000))
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == (
+            f"unsupported model version {repr(doc['version'])[:57]}... "
+            "(this build reads version 1)"
+        )
+
     def test_fingerprint_with_a_trailing_newline_is_corrupt(self, seed_dfa):
         doc = json.loads(serialize(seed_dfa))
         doc["catalog_fingerprint"] += "\n"

@@ -141,6 +141,21 @@ class TestParseErrors:
             list(parse_traces(lines))
         assert str(raised.value) == "line 1: trace 'wide': step 1 repeats behavior 31337"
 
+    def test_a_long_bad_value_is_quoted_cut_short(self):
+        wide = list(range(100_000))
+        (error,) = scan_traces(jsonl({"id": "wide", "steps": [[wide]]}))
+        assert error.reason == (
+            f"line 1: trace 'wide': step 0 holds {repr(wide)[:57]}..., "
+            "expected a non-negative integer behavior id"
+        )
+        assert len(error.reason) < 200
+
+    def test_a_long_duplicate_trace_id_is_quoted_cut_short(self):
+        long_id = "x" * 1_000_000
+        first, error = scan_traces(jsonl({"id": long_id, "steps": [7]}, {"id": long_id}))
+        assert first.trace_id == long_id
+        assert error.reason == "line 2: duplicate trace id '" + "x" * 56 + "..."
+
     def test_empty_step(self, catalog):
         lines = jsonl({"id": "a", "steps": [[]]})
         with pytest.raises(TraceFormatError, match="step 0 is empty"):

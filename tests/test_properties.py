@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from behaviordfa.catalog import default_catalog
 from behaviordfa.classify import Verdict, classify, match_prefix, nearest_final
 from behaviordfa.dfa import (
     BehaviorDfa,
@@ -16,9 +18,17 @@ from behaviordfa.dfa import (
     serialize,
     validate,
 )
+from behaviordfa.ingest import BehaviorTrace, parse_traces
 
 from helpers import make_trace
-from oracle import oracle_classify, oracle_nearest, oracle_prefix_weight, oracle_serialize
+from oracle import (
+    oracle_classify,
+    oracle_consumed,
+    oracle_nearest,
+    oracle_prefix_weight,
+    oracle_serialize,
+    oracle_walk,
+)
 
 # Four behaviors with two distinct weights (2, 3, 3, 5) keep the grouped-step
 # preference rule and the tie-break both exercised.
@@ -191,3 +201,63 @@ def test_nearest_final_agrees_with_the_enumerating_reference(catalog, bodies):
             assert t.source == here < t.target
             here = t.target
         assert here == near.final_state
+
+
+# Traces made of runs: each step, one id or a group, repeated 1-6 times.
+run_steps = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(ALPHABET + [9]),
+            st.lists(st.sampled_from(ALPHABET + [9]), min_size=2, max_size=3, unique=True),
+        ),
+        st.integers(min_value=1, max_value=6),
+    ),
+    max_size=8,
+).map(lambda runs: [step for step, length in runs for _ in range(length)])
+
+# A trie that validate() accepts in which state 1, entered on 7, has a
+# forward child on 7 instead of a self-loop: 0 -7-> 1 -7-> 2, which loops
+# on 7, then 2 -5-> 3, the final. A walk that skipped a step's repeats
+# after a forward edge would stay at state 1.
+FORWARD_ON_THE_ENTRY_BEHAVIOR = BehaviorDfa(
+    4,
+    [
+        Transition(0, 7, 1, 3),
+        Transition(1, 7, 2, 3),
+        Transition(2, 7, 2, 3),
+        Transition(2, 5, 3, 3),
+    ],
+    {3},
+    default_catalog().fingerprint,
+    1,
+)
+
+
+def test_the_hand_built_model_is_a_valid_trie():
+    assert validate(FORWARD_ON_THE_ENTRY_BEHAVIOR) == []
+
+
+def shared_steps(trace: BehaviorTrace) -> BehaviorTrace:
+    """`trace` with all equal steps one tuple object, so every run repeats one object."""
+    pool: dict = {}
+    return BehaviorTrace(trace.trace_id, [pool.setdefault(step, step) for step in trace.steps])
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.none(), pattern_bodies), run_steps)
+# On the hand-built model: two forward edges on 7, then the final; and a
+# grouped step that takes state 2's loop on 7 three times before the final.
+@example(bodies=None, steps=[7, 7, 5])
+@example(bodies=None, steps=[7, 7, 7, [7, 11], [7, 11], [7, 11], 5])
+def test_a_run_of_one_step_object_walks_like_its_equal_steps(catalog, bodies, steps):
+    dfa = FORWARD_ON_THE_ENTRY_BEHAVIOR if bodies is None else build_from(bodies, catalog)
+    end, _, _, diverged, reached = oracle_walk(dfa, steps)
+    expected = (end, oracle_consumed(dfa, steps), diverged, reached)
+    verdict = oracle_classify(dfa, steps)[0]
+    built = make_trace(steps)  # every step its own tuple: no skip applies
+    (parsed,) = parse_traces([json.dumps({"id": "t0", "steps": steps})])  # one-id runs shared
+    for trace in (built, shared_steps(built), parsed):
+        outcome = classify(dfa, trace)
+        m = outcome.match
+        assert (m.end_state, m.consumed_steps, m.diverged, m.reached_final) == expected
+        assert outcome.verdict.value == verdict

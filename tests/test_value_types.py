@@ -10,8 +10,11 @@ from __future__ import annotations
 import pytest
 
 from behaviordfa.catalog import BehaviorSpec
+from behaviordfa.classify import Classification, MatchResult, NearestFinal, Verdict, classify
 from behaviordfa.dfa import BehaviorDfa, Transition, ValidationIssue
 from behaviordfa.ingest import BehaviorTrace, RecordError
+
+from helpers import PATTERN_A, make_trace
 
 FINGERPRINT = "0" * 64
 
@@ -97,3 +100,46 @@ def test_model_index_is_built_once_and_is_no_field():
     with pytest.raises(AttributeError):
         dfa.extra = 1
     assert dfa._tables is tables
+
+
+@pytest.mark.parametrize(
+    "steps, verdict",
+    [(PATTERN_A, Verdict.MALIGN), ([7, 5, 1, 1], Verdict.PARTIALLY_MALIGN), ([11], Verdict.BENIGN)],
+    ids=["malign", "partial", "benign"],
+)
+def test_classify_returns_the_public_result_types(seed_dfa, steps, verdict):
+    outcome = classify(seed_dfa, make_trace(steps, trace_id="t", label="malicious"))
+    match, nearest = outcome.match, outcome.nearest
+    assert type(outcome) is Classification and type(match) is MatchResult
+    assert (nearest is None) == (verdict is Verdict.BENIGN)
+    rebuilt_match = MatchResult(
+        end_state=match.end_state,
+        consumed_steps=match.consumed_steps,
+        diverged=match.diverged,
+        reached_final=match.reached_final,
+        model=match.model,
+    )
+    assert rebuilt_match == match and hash(rebuilt_match) == hash(match)
+    assert tuple(rebuilt_match) == tuple(match)
+    rebuilt_nearest = None
+    if nearest is not None:
+        assert type(nearest) is NearestFinal
+        rebuilt_nearest = NearestFinal(
+            final_state=nearest.final_state,
+            denominator_weight=nearest.denominator_weight,
+            from_state=nearest.from_state,
+            model=nearest.model,
+        )
+        assert rebuilt_nearest == nearest and hash(rebuilt_nearest) == hash(nearest)
+        assert tuple(rebuilt_nearest) == tuple(nearest)
+    rebuilt = Classification(
+        trace_id=outcome.trace_id,
+        label=outcome.label,
+        verdict=outcome.verdict,
+        match_percentage=outcome.match_percentage,
+        match=rebuilt_match,
+        nearest=rebuilt_nearest,
+    )
+    assert (rebuilt.trace_id, rebuilt.label, rebuilt.verdict) == ("t", "malicious", verdict)
+    assert rebuilt == outcome and hash(rebuilt) == hash(outcome)
+    assert tuple(rebuilt) == tuple(outcome)
