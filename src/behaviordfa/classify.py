@@ -143,10 +143,11 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     its state: in a trie the edges it took are the path to that state, so
     the result reads them, and their weight, off the model when asked.
     Self-loops consume a step and add no edge. A self-loop leaves the
-    state as it was, so the steps after it that are the same object (a
-    parsed trace shares one tuple per id) are consumed with no lookup:
-    a run costs one lookup however long it is. Equal but distinct step
-    tuples take the lookup, with the same result.
+    state as it was, so the steps after it that are the same object (the
+    readers share one tuple per distinct step of a stream, up to a cap)
+    are consumed with no lookup: a run costs one lookup however long it
+    is. Equal but distinct step tuples take the lookup, with the same
+    result.
     """
     out = dfa._tables[0]
     finals = dfa.finals
@@ -282,8 +283,8 @@ def classify_stream(
     Lazy: each item is classified as it arrives and none is kept, so
     classification holds one trace at a time. The parse_traces and
     scan_traces readers do keep the set of every trace id seen, to reject
-    duplicates, so a whole batch costs O(distinct ids) memory. Output
-    order equals input order.
+    duplicates, so a whole batch costs O(distinct ids) memory, plus the
+    steps they share, which are capped. Output order equals input order.
     """
     for item in items:
         if isinstance(item, RecordError):

@@ -210,8 +210,7 @@ def _cmd_add(args) -> int:
     patterns = _load_patterns(args.patterns, catalog)
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
-    for pattern in patterns:
-        dfa = add_pattern(dfa, pattern, catalog)
+    dfa = add_pattern(dfa, patterns, catalog)
     _atomic_write(args.model, serialize(dfa))
     _say(args, f"model updated: {_model_summary(dfa)}")
     return 0

@@ -14,12 +14,13 @@ transition is a named tuple (source, behavior, target, weight), so
 transitions sort, compare and unpack as plain tuples.
 
 Models are immutable values. build_dfa() grows the empty model by its
-patterns and add_pattern() grows a given model by one more, along the
-same path, so the result is bit-for-bit what a full rebuild with the
-extended pattern list would produce, including state numbering. Growing
-never copies the base model: its edges are found by bisection in its
-sorted transitions, so an add costs O(pattern * log model) lookups plus
-one C-level copy and merge of the sorted edges. The one per-state lookup
+patterns and add_pattern() grows a given model by one more, or by a
+batch, along the same path, so the result is bit-for-bit what a full
+rebuild with the extended pattern list would produce, including state
+numbering. Growing never copies the base model: its edges are found by
+bisection in its sorted transitions, so an add costs O(patterns * log
+model) lookups plus one C-level copy and merge of the sorted edges,
+once per call however large the batch. The one per-state lookup
 index is built on first use, so build and add never pay for it.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
@@ -201,15 +202,20 @@ def check_catalog(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> None:
         )
 
 
-def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatalog) -> BehaviorDfa:
-    """Insert one more pattern, returning a new model.
+def add_pattern(
+    dfa: BehaviorDfa,
+    pattern: Union[BehaviorTrace, Iterable[BehaviorTrace]],
+    catalog: BehaviorCatalog,
+) -> BehaviorDfa:
+    """Insert one more pattern, or a batch of them in order, returning a new model.
 
     The result is exactly what rebuilding from the original patterns plus
-    this one would produce, state numbering included. The catalog must be
-    the one the model was built with.
+    these would produce, state numbering included, and so what adding a
+    batch's patterns one by one would. The catalog must be the one the
+    model was built with.
     """
     check_catalog(dfa, catalog)
-    return _grow(dfa, [pattern], catalog)
+    return _grow(dfa, [pattern] if isinstance(pattern, BehaviorTrace) else list(pattern), catalog)
 
 
 def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:

@@ -13,9 +13,39 @@ _SHOWN = 60  # longest input value an error message quotes
 
 
 def brief(value) -> str:
-    """repr(value) for an error message, cut to 60 characters if longer."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
+    """repr(value) for an error message, cut to 60 characters if longer.
+
+    Lists and dicts are rendered piece by piece and only until 60 characters
+    are passed, so quoting a huge one costs no more than a small one.
+    """
+    text = ""
+    for piece in _repr_pieces(value, set()):
+        text += piece
+        if len(text) > _SHOWN:
+            return text[: _SHOWN - 3] + "..."
+    return text
+
+
+def _repr_pieces(value, open_ids):
+    """repr(value) in pieces; `open_ids` holds the containers being rendered."""
+    kind = type(value)
+    if kind is not list and kind is not dict:
+        yield repr(value)
+        return
+    if id(value) in open_ids:  # a container inside itself, as repr() shows it
+        yield "[...]" if kind is list else "{...}"
+        return
+    open_ids.add(id(value))
+    yield "[" if kind is list else "{"
+    for i, item in enumerate(value if kind is list else value.items()):
+        if i:
+            yield ", "
+        if kind is dict:
+            key, item = item
+            yield f"{key!r}: "
+        yield from _repr_pieces(item, open_ids)
+    yield "]" if kind is list else "}"
+    open_ids.discard(id(value))
 
 
 class EngineError(Exception):

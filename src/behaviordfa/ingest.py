@@ -7,21 +7,37 @@ Trace files are line-delimited JSON, one trace per line:
 A step is the list of behavior ids observed at one point in execution;
 most steps hold a single id, and the flat shorthand ``"steps": [7, 5]``
 may be mixed with the grouped form. Parsed, each step is a plain tuple of
-ids, ``(7,)`` or ``(11, 3)``, checked once, in _parse_record(); within a
-record, every one-id step of the same id is one shared tuple, checked where
-it first occurs. Labels are advisory metadata: they travel to reports but
-never influence classification.
+ids, ``(7,)`` or ``(11, 3)``. A stream checks each distinct step once, in
+_parse_record(), where it first occurs; every later equal step of the
+stream, in any record, is the same shared tuple (``7`` and ``[7]`` share
+one). Only steps of at most 16 ids are shared, and only the first 4,096
+entries a stream remembers; any other step is checked where it occurs.
+Labels are advisory metadata: they travel to reports but never influence
+classification.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .catalog import BehaviorCatalog
-from .errors import EngineError, TraceFormatError, UnknownBehaviorError, brief
+from .errors import (
+    EngineError,
+    InternalInvariantError,
+    TraceFormatError,
+    UnknownBehaviorError,
+    brief,
+)
 
 LABELS = ("malicious", "benign")
+
+# A stream remembers a checked step of up to _SHARED_WIDTH ids while it holds
+# fewer than _SHARED_STEPS entries: 3.5 MB at most for ids over a million.
+_SHARED_STEPS = 4096
+_SHARED_WIDTH = 16
+_INT = frozenset((int,))
 
 
 class _TraceFields(NamedTuple):
@@ -89,6 +105,7 @@ def scan_traces(
 def _iter_records(source, catalog, strict):
     known = None if catalog is None else catalog.ids
     seen_ids: set[str] = set()
+    shared: dict = {}  # int or tuple entry -> its checked step, for this stream
     for line_no, raw in enumerate(source, start=1):
         try:
             text = _as_text(raw, line_no)
@@ -100,7 +117,7 @@ def _iter_records(source, catalog, strict):
         if not text.strip():
             continue
         try:
-            yield _parse_record(text, line_no, known, seen_ids)
+            yield _parse_record(text, line_no, known, seen_ids, shared)
         except EngineError as exc:
             if strict:
                 raise
@@ -116,8 +133,11 @@ def _as_text(raw, line_no):
     return raw
 
 
-def _parse_record(text, line_no, known, seen_ids):
-    """One checked trace; `known` is the catalog's id set, or None to accept any id."""
+def _parse_record(text, line_no, known, seen_ids, shared):
+    """One checked trace; `known` is the catalog's id set, or None to accept any id.
+
+    `shared` maps the entries already checked in this stream to their steps.
+    """
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -141,38 +161,67 @@ def _parse_record(text, line_no, known, seen_ids):
     if not isinstance(raw_steps, list):
         raise TraceFormatError(f"trace {brief(trace_id)}: 'steps' must be an array", line=line_no)
 
+    # A step is looked up by its entry: an int as itself, a list as its tuple.
+    # A miss (an unseen, bad or unhashable entry) is checked and remembered.
+    lookup = shared.get
     steps: list[tuple[int, ...]] = []
-    checked: dict[int, tuple[int]] = {}  # id -> its one-id step, checked once per record
-    for index, entry in enumerate(raw_steps):
-        single = entry[0] if type(entry) is list and len(entry) == 1 else entry
-        if type(single) is int:
-            step = checked.get(single)
-            if step is not None:
-                steps.append(step)
-                continue
-        step = tuple(entry) if type(entry) is list else (entry,)
-        if not step:
-            raise TraceFormatError(f"trace {brief(trace_id)}: step {index} is empty", line=line_no)
-        earlier = set() if len(step) > 1 else None  # keeps the repeat check linear in the step
-        # Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
-        for b in step:
-            if type(b) is not int or b < 0:
-                raise TraceFormatError(
-                    f"trace {brief(trace_id)}: step {index} holds {brief(b)}, "
-                    "expected a non-negative integer behavior id",
-                    line=line_no,
-                )
-            if earlier is not None:
-                if b in earlier:
-                    raise TraceFormatError(
-                        f"trace {brief(trace_id)}: step {index} repeats behavior {b}", line=line_no
-                    )
-                earlier.add(b)
-            if known is not None and b not in known:
-                raise UnknownBehaviorError(b, context=f"trace {brief(trace_id)}, step {index}")
-        if earlier is None:
-            checked[step[0]] = step
-        steps.append(step)
+    grouped = []  # every list entry, for the census below
+    try:
+        for entry in raw_steps:
+            if type(entry) is int:
+                step = lookup(entry)
+            elif type(entry) is list:
+                grouped.append(entry)
+                try:
+                    step = lookup(tuple(entry))
+                except TypeError:  # an element is a list or an object
+                    step = None
+            else:
+                step = None
+            if step is None:
+                step = _checked_step(entry, len(steps), trace_id, line_no, known)
+                if len(shared) < _SHARED_STEPS and len(step) <= _SHARED_WIDTH:
+                    shared[step] = step
+                    if len(step) == 1:
+                        shared[step[0]] = step
+            steps.append(step)
+    except EngineError:
+        steps = None
+    # A list's tuple also finds the step it equals, and (True, 2) == (1.0, 2) == (1, 2):
+    # the lookups were exact only if every element of every list is an int. If
+    # not, or a miss failed, the checks run again from step 0 to raise the first error.
+    if steps is None or not _INT.issuperset(map(type, chain.from_iterable(grouped))):
+        for index, entry in enumerate(raw_steps):
+            _checked_step(entry, index, trace_id, line_no, known)
+        raise InternalInvariantError(f"trace {brief(trace_id)}: census failed, checks passed")
 
     seen_ids.add(trace_id)
-    return BehaviorTrace(trace_id, steps, label)
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    return tuple.__new__(BehaviorTrace, (trace_id, tuple(steps), label))
+
+
+def _checked_step(entry, index, trace_id, line_no, known):
+    """The step tuple of one entry, or the error of its first bad behavior.
+
+    Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
+    """
+    step = tuple(entry) if type(entry) is list else (entry,)
+    if not step:
+        raise TraceFormatError(f"trace {brief(trace_id)}: step {index} is empty", line=line_no)
+    earlier = set() if len(step) > 1 else None  # keeps the repeat check linear in the step
+    for b in step:
+        if type(b) is not int or b < 0:
+            raise TraceFormatError(
+                f"trace {brief(trace_id)}: step {index} holds {brief(b)}, "
+                "expected a non-negative integer behavior id",
+                line=line_no,
+            )
+        if earlier is not None:
+            if b in earlier:
+                raise TraceFormatError(
+                    f"trace {brief(trace_id)}: step {index} repeats behavior {b}", line=line_no
+                )
+            earlier.add(b)
+        if known is not None and b not in known:
+            raise UnknownBehaviorError(b, context=f"trace {brief(trace_id)}, step {index}")
+    return step

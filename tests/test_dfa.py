@@ -171,6 +171,24 @@ class TestAddPattern:
         assert seed_dfa.finals <= grown.finals
         assert seed_dfa.state_count <= grown.state_count
 
+    def test_a_batch_writes_the_bytes_of_one_by_one_adds_and_of_a_rebuild(
+        self, seed_dfa, seed_patterns, catalog
+    ):
+        bodies = [[5, 1], [7, 11, 11], [3], [7, 5, 3]]
+        batch = [make_trace(body, f"x{i}") for i, body in enumerate(bodies)]
+        one_by_one = seed_dfa
+        for pattern in batch:
+            one_by_one = add_pattern(one_by_one, pattern, catalog)
+        grown = add_pattern(seed_dfa, batch, catalog)
+        assert grown.pattern_count == seed_dfa.pattern_count + len(batch)
+        assert serialize(grown) == serialize(one_by_one)
+        assert serialize(grown) == serialize(build_dfa(seed_patterns + batch, catalog))
+
+    def test_a_batch_stops_at_its_first_bad_pattern(self, seed_dfa, catalog):
+        batch = [make_trace([7, 11], "good"), make_trace([7, 99], "bad")]
+        with pytest.raises(UnknownBehaviorError, match="99 .pattern 'bad'"):
+            add_pattern(seed_dfa, batch, catalog)
+
     def test_catalog_mismatch_is_loud(self, seed_dfa):
         other = BehaviorCatalog([BehaviorSpec(7, "Add Event Handler", 9)])
         with pytest.raises(CatalogMismatchError, match="catalog"):

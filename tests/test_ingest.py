@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from behaviordfa import ingest
 from behaviordfa.classify import classify
 from behaviordfa.dfa import build_dfa
 from behaviordfa.errors import PatternError, TraceFormatError, UnknownBehaviorError
@@ -219,6 +221,142 @@ class TestSharedSteps:
             assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         else:
             assert list(parse_traces([line], used)) == [expected]
+
+
+# A stream starts with a record of good entries, so that the later entries
+# equal to one of its steps (True for 1, 1.0 for 1, a list nesting a list)
+# meet a shared step.
+_good_entry = st.one_of(_id, st.lists(_id, min_size=1, max_size=3, unique=True))
+_nested = st.lists(st.one_of(_behavior, st.lists(_id, max_size=2)), min_size=1, max_size=3)
+_stream = st.tuples(
+    st.lists(_good_entry, max_size=10),
+    st.lists(st.lists(st.one_of(_entry, _nested), max_size=8), min_size=1, max_size=5),
+).map(lambda drawn: [drawn[0], *drawn[1]])
+
+
+def _oracle_stream(records, known):
+    """Each record's trace or exception, checked alone by the per-step oracle."""
+    outcomes = []
+    for line_no, steps in enumerate(records, start=1):
+        trace_id = f"r{line_no}"
+        try:
+            outcomes.append(BehaviorTrace(trace_id, oracle_steps(steps, trace_id, line_no, known)))
+        except (TraceFormatError, UnknownBehaviorError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _parse_until_error(lines, catalog):
+    """The traces parse_traces() yields, and the error it stops at, if any."""
+    parsed = []
+    try:
+        for trace in parse_traces(lines, catalog):
+            parsed.append(trace)
+    except (TraceFormatError, UnknownBehaviorError) as exc:
+        return parsed, exc
+    return parsed, None
+
+
+def _stream_lines(records):
+    return jsonl(*({"id": f"r{n}", "steps": steps} for n, steps in enumerate(records, start=1)))
+
+
+class TestStreamSharedSteps:
+    """Steps are shared by the whole stream, and every record still parses as if alone."""
+
+    @pytest.mark.parametrize("cap", [ingest._SHARED_STEPS, 4], ids=["default-cap", "cap-4"])
+    @settings(max_examples=300, deadline=None)
+    @given(records=_stream, with_catalog=st.booleans())
+    def test_every_record_matches_the_per_step_oracle(self, catalog, cap, records, with_catalog):
+        used = catalog if with_catalog else None
+        expected = _oracle_stream(records, used and used.ids)
+        lines = _stream_lines(records)
+        with mock.patch.object(ingest, "_SHARED_STEPS", cap):
+            scanned = list(scan_traces(lines, used))
+            parsed, raised = _parse_until_error(lines, used)
+        assert [type(item) for item in scanned] == [
+            RecordError if isinstance(e, Exception) else BehaviorTrace for e in expected
+        ]
+        for line_no, (item, outcome) in enumerate(zip(scanned, expected), start=1):
+            if isinstance(outcome, Exception):
+                assert item == RecordError(line_no, str(outcome))
+            else:
+                assert item == outcome
+        first_bad = next((e for e in expected if isinstance(e, Exception)), None)
+        assert parsed == expected[: len(parsed)]
+        if first_bad is None:
+            assert raised is None and len(parsed) == len(expected)
+        else:
+            assert len(parsed) == expected.index(first_bad)
+            assert type(raised) is type(first_bad) and str(raised) == str(first_bad)
+        if cap == ingest._SHARED_STEPS:  # every step equal to an earlier one is that one
+            shared = {}
+            for trace in scanned:
+                for step in getattr(trace, "steps", ()):
+                    assert shared.setdefault(step, step) is step
+
+    def test_equal_steps_share_one_tuple_across_records(self, catalog):
+        first, second = parse_traces(
+            jsonl({"id": "a", "steps": [7, [11, 3]]}, {"id": "b", "steps": [[7], [11, 3], 7]}),
+            catalog,
+        )
+        assert second.steps == ((7,), (11, 3), (7,))
+        assert second.steps[0] is first.steps[0] and second.steps[2] is first.steps[0]
+        assert second.steps[1] is first.steps[1]
+
+    @pytest.mark.parametrize(
+        "later, reason",
+        [
+            ([[True, 3]], "step 0 holds True"),
+            ([[1.0, 3]], "step 0 holds 1.0"),
+            ([7, [3, 1.0]], "step 1 holds 1.0"),
+            ([[True]], "step 0 holds True"),
+            ([True], "step 0 holds True"),
+            ([1.0], "step 0 holds 1.0"),
+            ([["7"]], "step 0 holds '7'"),
+            ([[]], "step 0 is empty"),
+            ([[1, [3]]], "step 0 holds [3]"),
+            ([[1, {"3": 3}]], "step 0 holds {'3': 3}"),
+            ([[True, 3], [5, []]], "step 0 holds True"),
+            ([[1, 3], [True, 3], [5, [3]]], "step 1 holds True"),
+        ],
+    )
+    def test_an_entry_equal_to_a_shared_step_is_still_rejected(self, catalog, later, reason):
+        lines = jsonl({"id": "a", "steps": [1, 7, [1, 3], [3, 1]]}, {"id": "b", "steps": later})
+        first, error = scan_traces(lines, catalog)
+        assert first.steps == ((1,), (7,), (1, 3), (3, 1))
+        assert error == RecordError(2, f"line 2: trace 'b': {reason}" + (
+            "" if reason.endswith("empty") else ", expected a non-negative integer behavior id"
+        ))
+        with pytest.raises(TraceFormatError) as raised:
+            list(parse_traces(lines, catalog))
+        assert str(raised.value) == error.reason
+
+    def test_a_miss_after_a_hit_reports_the_first_bad_step(self):
+        # The shared (1, 2) answers the lookup of [true, 2], and the error at
+        # step 1 comes first; the record is checked again and fails at step 0.
+        lines = jsonl({"id": "a", "steps": [[1, 2]]}, {"id": "b", "steps": [[True, 2], [5, []]]})
+        error = list(scan_traces(lines))[1]
+        assert error.reason == (
+            "line 2: trace 'b': step 0 holds True, expected a non-negative integer behavior id"
+        )
+
+    def test_past_the_cap_steps_are_checked_where_they_occur(self, catalog, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
+        first, second = parse_traces(
+            jsonl({"id": "a", "steps": [7, 5, 11, 11]}, {"id": "b", "steps": [7, 5, 11, 99]})
+        )
+        # 7 and 5 fill the four entries (each as 7 and as (7,)); 11 is never shared.
+        assert second.steps[0] is first.steps[0] and second.steps[1] is first.steps[1]
+        assert first.steps[2] == first.steps[3] and first.steps[2] is not first.steps[3]
+        (error,) = scan_traces(jsonl({"id": "c", "steps": [7, 5, 99]}), catalog)
+        assert error.reason.startswith("unknown behavior id 99")
+
+    def test_only_narrow_steps_are_shared(self):
+        narrow, wide = list(range(ingest._SHARED_WIDTH)), list(range(ingest._SHARED_WIDTH + 1))
+        (trace,) = parse_traces(jsonl({"id": "a", "steps": [narrow, narrow, wide, wide]}))
+        assert trace.steps[0] is trace.steps[1]
+        assert trace.steps[2] == trace.steps[3] and trace.steps[2] is not trace.steps[3]
 
 
 class TestScanTraces:

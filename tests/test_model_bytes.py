@@ -7,6 +7,11 @@ rebuild writes. A seeded trace file classified
 against a seeded model pins the SHA-256 of the JSON and CSV reports. Any
 change to the encoders, ingest or scoring that moves a single byte fails
 here.
+
+A hand-written trace file pins the reports once more: its records repeat
+runs and grouped steps across records, and its bad records spell values
+equal to a good step (true, 1.0, "7") or nest lists, so that steps shared
+by the stream must change no byte.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import random
 
 from behaviordfa.catalog import default_catalog
 from behaviordfa.cli import main
+
+from helpers import PATTERN_A, PATTERN_B
 
 PATTERN_COUNT = 300
 ADD_BATCH = 4
@@ -132,3 +139,42 @@ def test_classify_writes_the_pinned_report_bytes(tmp_path):
     assert main([*with_catalog, "--out", str(csv_report)]) == 0
     assert _sha256(json_report) == JSON_REPORT_SHA256
     assert _sha256(csv_report) == CSV_REPORT_SHA256
+
+
+SHARED_JSON_SHA256 = "8cfea4ca17b671c562bd14831f9608d9554de6831f415470203caaa90fa3c83e"
+SHARED_CSV_SHA256 = "1444811f278930c13b25831eed170bb3470dde372765a4feb8d546187c31eec1"
+
+SHARED_STEP_LINES = [
+    {"id": "a-runs", "steps": PATTERN_A, "label": "malicious"},
+    {"id": "grouped", "steps": [[7, 3], [5], [1, 11], 1, 1, [1, 11], 1, [7, 3], 5]},
+    {"id": "again", "steps": [[7, 3], 5, [1, 11], [1, 11], [1, 11], 1], "label": "benign"},
+    {"id": "bool", "steps": [[True, 11]]},
+    {"id": "float", "steps": [7, [5], [1.0]]},
+    {"id": "string", "steps": [["7"], 7]},
+    {"id": "empty", "steps": [7, []]},
+    {"id": "nested", "steps": [[1, [11]]]},
+    {"id": "first-of-two", "steps": [[True, 11], [5, []]]},
+    {"id": "unknown", "steps": [7, [5, 9999]]},
+    {"id": "b-runs", "steps": PATTERN_B},
+    {"id": "b-grouped", "steps": [[5, 3], [1, 11], 1, 1, 1, [5, 3], [1], [1, 11], 1, 1]},
+    {"id": "shallow", "steps": [[3, 7], [11, 5], 11, 11]},
+    {"id": "first-of-two", "steps": [7]},
+]
+
+
+def test_classify_writes_the_pinned_report_bytes_for_shared_steps(tmp_path):
+    model = tmp_path / "model.json"
+    catalog = tmp_path / "catalog.json"
+    traces = _write(tmp_path / "traces.jsonl", SHARED_STEP_LINES)
+    catalog.write_bytes(default_catalog().to_json())
+    patterns = _write(
+        tmp_path / "patterns.jsonl",
+        [{"id": "a", "steps": PATTERN_A}, {"id": "b", "steps": PATTERN_B}],
+    )
+    assert main(["--quiet", "build", "--patterns", patterns, "--out", str(model)]) == 0
+    common = ["--quiet", "classify", "--model", str(model), "--traces", traces]
+    for fmt, pinned in (("json", SHARED_JSON_SHA256), ("csv", SHARED_CSV_SHA256)):
+        report = tmp_path / f"report.{fmt}"
+        argv = [*common, "--catalog", str(catalog), "--format", fmt, "--out", str(report)]
+        assert main(argv) == 0
+        assert _sha256(report) == pinned, fmt

@@ -104,6 +104,16 @@ def test_adding_patterns_one_at_a_time_matches_a_full_rebuild(catalog, bodies, e
     assert grown == build_from(bodies + extras, catalog)
 
 
+@given(
+    pattern_bodies,
+    st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=8), min_size=1, max_size=4),
+)
+def test_adding_a_batch_matches_a_full_rebuild(catalog, bodies, extras):
+    batch = [make_trace(extra, trace_id=f"p{i}") for i, extra in enumerate(extras, len(bodies))]
+    grown = add_pattern(build_from(bodies, catalog), batch, catalog)
+    assert serialize(grown) == serialize(build_from(bodies + extras, catalog))
+
+
 @given(pattern_bodies)
 def test_serialize_deserialize_identity(catalog, bodies):
     dfa = build_from(bodies, catalog)
