@@ -27,6 +27,7 @@ from .dfa import (
     Transition,
     ValidationIssue,
     add_pattern,
+    add_patterns,
     build_dfa,
     deserialize,
     export_dot,
@@ -79,6 +80,7 @@ __all__ = [
     "ValidationIssue",
     "Verdict",
     "add_pattern",
+    "add_patterns",
     "build_dfa",
     "classification_record",
     "classify",

@@ -144,10 +144,10 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     the result reads them, and their weight, off the model when asked.
     Self-loops consume a step and add no edge. A self-loop leaves the
     state as it was, so the steps after it that are the same object (the
-    readers share one tuple per distinct step of a stream, up to a cap)
-    are consumed with no lookup: a run costs one lookup however long it
-    is. Equal but distinct step tuples take the lookup, with the same
-    result.
+    readers share one tuple per distinct step of a stream, and always
+    within a run) are consumed with no lookup: a run costs one lookup
+    however long it is. Equal but distinct step tuples take the lookup,
+    with the same result.
     """
     out = dfa._tables[0]
     finals = dfa.finals

@@ -14,8 +14,8 @@ transition is a named tuple (source, behavior, target, weight), so
 transitions sort, compare and unpack as plain tuples.
 
 Models are immutable values. build_dfa() grows the empty model by its
-patterns and add_pattern() grows a given model by one more, or by a
-batch, along the same path, so the result is bit-for-bit what a full
+patterns and add_pattern() grows a given model by one more (add_patterns()
+by a batch), along the same path, so the result is bit-for-bit what a full
 rebuild with the extended pattern list would produce, including state
 numbering. Growing never copies the base model: its edges are found by
 bisection in its sorted transitions, so an add costs O(patterns * log
@@ -202,20 +202,26 @@ def check_catalog(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> None:
         )
 
 
-def add_pattern(
-    dfa: BehaviorDfa,
-    pattern: Union[BehaviorTrace, Iterable[BehaviorTrace]],
-    catalog: BehaviorCatalog,
-) -> BehaviorDfa:
-    """Insert one more pattern, or a batch of them in order, returning a new model.
+def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatalog) -> BehaviorDfa:
+    """Insert one more pattern, returning a new model.
 
     The result is exactly what rebuilding from the original patterns plus
-    these would produce, state numbering included, and so what adding a
-    batch's patterns one by one would. The catalog must be the one the
-    model was built with.
+    this one would produce, state numbering included. The catalog must be
+    the one the model was built with.
+    """
+    return add_patterns(dfa, [pattern], catalog)
+
+
+def add_patterns(
+    dfa: BehaviorDfa, patterns: Iterable[BehaviorTrace], catalog: BehaviorCatalog
+) -> BehaviorDfa:
+    """Insert a batch of patterns in order, growing the model once.
+
+    The result is exactly what adding them one by one with add_pattern()
+    would produce, and so what a rebuild with the extended pattern list would.
     """
     check_catalog(dfa, catalog)
-    return _grow(dfa, [pattern] if isinstance(pattern, BehaviorTrace) else list(pattern), catalog)
+    return _grow(dfa, list(patterns), catalog)
 
 
 def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:

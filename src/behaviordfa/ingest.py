@@ -10,8 +10,9 @@ may be mixed with the grouped form. Parsed, each step is a plain tuple of
 ids, ``(7,)`` or ``(11, 3)``. A stream checks each distinct step once, in
 _parse_record(), where it first occurs; every later equal step of the
 stream, in any record, is the same shared tuple (``7`` and ``[7]`` share
-one). Only steps of at most 16 ids are shared, and only the first 4,096
-entries a stream remembers; any other step is checked where it occurs.
+one). Only steps of at most 16 ids are shared, and a stream remembers
+4,096 entries at a time: when full it forgets them all and starts over,
+so every step of a run is still one tuple, checked once.
 Labels are advisory metadata: they travel to reports but never influence
 classification.
 """
@@ -33,8 +34,8 @@ from .errors import (
 
 LABELS = ("malicious", "benign")
 
-# A stream remembers a checked step of up to _SHARED_WIDTH ids while it holds
-# fewer than _SHARED_STEPS entries: 3.5 MB at most for ids over a million.
+# A stream remembers checked steps of up to _SHARED_WIDTH ids, and empties its
+# memo when it holds _SHARED_STEPS entries: 3.5 MB at most for ids over a million.
 _SHARED_STEPS = 4096
 _SHARED_WIDTH = 16
 _INT = frozenset((int,))
@@ -169,18 +170,22 @@ def _parse_record(text, line_no, known, seen_ids, shared):
     try:
         for entry in raw_steps:
             if type(entry) is int:
-                step = lookup(entry)
+                key = entry
             elif type(entry) is list:
                 grouped.append(entry)
-                try:
-                    step = lookup(tuple(entry))
-                except TypeError:  # an element is a list or an object
-                    step = None
+                key = tuple(entry)
             else:
+                key = None  # never remembered: always a miss
+            try:
+                step = lookup(key)
+            except TypeError:  # an element is a list or an object
                 step = None
             if step is None:
-                step = _checked_step(entry, len(steps), trace_id, line_no, known)
-                if len(shared) < _SHARED_STEPS and len(step) <= _SHARED_WIDTH:
+                step = key if type(entry) is list else (entry,)
+                _check_step(step, len(steps), trace_id, line_no, known)
+                if len(step) <= _SHARED_WIDTH:
+                    if len(shared) >= _SHARED_STEPS:  # full: start over, so a run still shares
+                        shared.clear()
                     shared[step] = step
                     if len(step) == 1:
                         shared[step[0]] = step
@@ -192,7 +197,8 @@ def _parse_record(text, line_no, known, seen_ids, shared):
     # not, or a miss failed, the checks run again from step 0 to raise the first error.
     if steps is None or not _INT.issuperset(map(type, chain.from_iterable(grouped))):
         for index, entry in enumerate(raw_steps):
-            _checked_step(entry, index, trace_id, line_no, known)
+            _check_step(tuple(entry) if type(entry) is list else (entry,), index, trace_id,
+                        line_no, known)
         raise InternalInvariantError(f"trace {brief(trace_id)}: census failed, checks passed")
 
     seen_ids.add(trace_id)
@@ -200,12 +206,11 @@ def _parse_record(text, line_no, known, seen_ids, shared):
     return tuple.__new__(BehaviorTrace, (trace_id, tuple(steps), label))
 
 
-def _checked_step(entry, index, trace_id, line_no, known):
-    """The step tuple of one entry, or the error of its first bad behavior.
+def _check_step(step, index, trace_id, line_no, known):
+    """Raise the error of the first bad behavior in one step, a tuple of its entry's values.
 
     Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
     """
-    step = tuple(entry) if type(entry) is list else (entry,)
     if not step:
         raise TraceFormatError(f"trace {brief(trace_id)}: step {index} is empty", line=line_no)
     earlier = set() if len(step) > 1 else None  # keeps the repeat check linear in the step
@@ -224,4 +229,3 @@ def _checked_step(entry, index, trace_id, line_no, known):
             earlier.add(b)
         if known is not None and b not in known:
             raise UnknownBehaviorError(b, context=f"trace {brief(trace_id)}, step {index}")
-    return step

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from behaviordfa import ingest
 from behaviordfa.classify import (
     BatchSummary,
     CsvReportWriter,
@@ -107,6 +108,26 @@ class TestMatchPrefix:
         result = match_prefix(dfa, trace)
         assert result.end_state == 3 and result.consumed_steps == 10_002
         # One lookup per forward edge (7, 5, 1) and one for the run on q3's self-loop.
+        assert looked_up == [7, 5, 1, 1]
+
+    def test_past_the_parsers_cap_a_run_still_costs_one_lookup(self, catalog, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
+        dfa = build_dfa([make_trace(PATTERN_A)], catalog)
+        looked_up = []
+
+        class CountingTable(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return dict.get(self, key, default)
+
+        out = dfa._tables[0]
+        out[:] = [CountingTable(table) for table in out]
+        lines = [json.dumps({"id": "fill", "steps": list(range(100, 140))}),
+                 json.dumps({"id": "run", "steps": [7, 5] + [1] * 10_000})]
+        _, trace = parse_traces(lines)  # the memo started over many times before the run
+        looked_up.clear()
+        result = match_prefix(dfa, trace)
+        assert result.end_state == 3 and result.consumed_steps == 10_002
         assert looked_up == [7, 5, 1, 1]
 
 

@@ -15,6 +15,7 @@ from behaviordfa.dfa import (
     BehaviorDfa,
     Transition,
     add_pattern,
+    add_patterns,
     build_dfa,
     deserialize,
     export_dot,
@@ -179,7 +180,7 @@ class TestAddPattern:
         one_by_one = seed_dfa
         for pattern in batch:
             one_by_one = add_pattern(one_by_one, pattern, catalog)
-        grown = add_pattern(seed_dfa, batch, catalog)
+        grown = add_patterns(seed_dfa, batch, catalog)
         assert grown.pattern_count == seed_dfa.pattern_count + len(batch)
         assert serialize(grown) == serialize(one_by_one)
         assert serialize(grown) == serialize(build_dfa(seed_patterns + batch, catalog))
@@ -187,7 +188,7 @@ class TestAddPattern:
     def test_a_batch_stops_at_its_first_bad_pattern(self, seed_dfa, catalog):
         batch = [make_trace([7, 11], "good"), make_trace([7, 99], "bad")]
         with pytest.raises(UnknownBehaviorError, match="99 .pattern 'bad'"):
-            add_pattern(seed_dfa, batch, catalog)
+            add_patterns(seed_dfa, batch, catalog)
 
     def test_catalog_mismatch_is_loud(self, seed_dfa):
         other = BehaviorCatalog([BehaviorSpec(7, "Add Event Handler", 9)])

@@ -5,7 +5,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behaviordfa import ingest
@@ -264,14 +264,17 @@ def _stream_lines(records):
 class TestStreamSharedSteps:
     """Steps are shared by the whole stream, and every record still parses as if alone."""
 
-    @pytest.mark.parametrize("cap", [ingest._SHARED_STEPS, 4], ids=["default-cap", "cap-4"])
+    # A cap of 4 entries makes the memo start over every few steps, so one
+    # stream meets shared hits and steps checked after a clear.
     @settings(max_examples=300, deadline=None)
     @given(records=_stream, with_catalog=st.booleans())
-    def test_every_record_matches_the_per_step_oracle(self, catalog, cap, records, with_catalog):
+    @example(records=[[[1, 2]], [[True, 2], [5, []]]], with_catalog=False)
+    @example(records=[[7, [1, 3]], [7, 7, [1.0, 3]]], with_catalog=True)
+    def test_every_record_matches_the_per_step_oracle(self, catalog, records, with_catalog):
         used = catalog if with_catalog else None
         expected = _oracle_stream(records, used and used.ids)
         lines = _stream_lines(records)
-        with mock.patch.object(ingest, "_SHARED_STEPS", cap):
+        with mock.patch.object(ingest, "_SHARED_STEPS", 4):
             scanned = list(scan_traces(lines, used))
             parsed, raised = _parse_until_error(lines, used)
         assert [type(item) for item in scanned] == [
@@ -289,11 +292,9 @@ class TestStreamSharedSteps:
         else:
             assert len(parsed) == expected.index(first_bad)
             assert type(raised) is type(first_bad) and str(raised) == str(first_bad)
-        if cap == ingest._SHARED_STEPS:  # every step equal to an earlier one is that one
-            shared = {}
-            for trace in scanned:
-                for step in getattr(trace, "steps", ()):
-                    assert shared.setdefault(step, step) is step
+        for trace in scanned:  # a run of equal steps is one object, at any cap
+            steps = getattr(trace, "steps", ())
+            assert all(after is step or after != step for step, after in zip(steps, steps[1:]))
 
     def test_equal_steps_share_one_tuple_across_records(self, catalog):
         first, second = parse_traces(
@@ -341,16 +342,31 @@ class TestStreamSharedSteps:
             "line 2: trace 'b': step 0 holds True, expected a non-negative integer behavior id"
         )
 
-    def test_past_the_cap_steps_are_checked_where_they_occur(self, catalog, monkeypatch):
+    def test_a_full_memo_starts_over_and_runs_still_share(self, catalog, monkeypatch):
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
         first, second = parse_traces(
-            jsonl({"id": "a", "steps": [7, 5, 11, 11]}, {"id": "b", "steps": [7, 5, 11, 99]})
+            jsonl({"id": "a", "steps": [7, 5, 11, 11, [11]]}, {"id": "b", "steps": [11, 7, 11]})
         )
-        # 7 and 5 fill the four entries (each as 7 and as (7,)); 11 is never shared.
-        assert second.steps[0] is first.steps[0] and second.steps[1] is first.steps[1]
-        assert first.steps[2] == first.steps[3] and first.steps[2] is not first.steps[3]
+        # 7 and 5 fill the four entries (each as 7 and as (7,)); 11 empties the
+        # memo and is remembered alone, so record b finds it and checks 7 again.
+        assert first.steps[2] is first.steps[3] and first.steps[4] is first.steps[2]
+        assert second.steps[0] is first.steps[2] and second.steps[2] is first.steps[2]
+        assert second.steps[1] == first.steps[0] and second.steps[1] is not first.steps[0]
         (error,) = scan_traces(jsonl({"id": "c", "steps": [7, 5, 99]}), catalog)
         assert error.reason.startswith("unknown behavior id 99")
+
+    def test_past_the_cap_a_run_is_checked_once(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
+        checked = []
+        check_step = ingest._check_step
+        monkeypatch.setattr(
+            ingest, "_check_step", lambda step, *rest: checked.append(step) or check_step(step, *rest)
+        )
+        ids = list(range(100, 140))  # 40 distinct ids empty the memo ten times
+        (trace,) = parse_traces(jsonl({"id": "a", "steps": ids + [[3, 1]] * 1000 + [1] * 1000}))
+        assert checked == [(i,) for i in ids] + [(3, 1), (1,)]
+        assert len({id(step) for step in trace.steps[40:1040]}) == 1
+        assert len({id(step) for step in trace.steps[1040:]}) == 1
 
     def test_only_narrow_steps_are_shared(self):
         narrow, wide = list(range(ingest._SHARED_WIDTH)), list(range(ingest._SHARED_WIDTH + 1))

@@ -13,6 +13,7 @@ from behaviordfa.dfa import (
     BehaviorDfa,
     Transition,
     add_pattern,
+    add_patterns,
     build_dfa,
     deserialize,
     serialize,
@@ -110,7 +111,7 @@ def test_adding_patterns_one_at_a_time_matches_a_full_rebuild(catalog, bodies, e
 )
 def test_adding_a_batch_matches_a_full_rebuild(catalog, bodies, extras):
     batch = [make_trace(extra, trace_id=f"p{i}") for i, extra in enumerate(extras, len(bodies))]
-    grown = add_pattern(build_from(bodies, catalog), batch, catalog)
+    grown = add_patterns(build_from(bodies, catalog), batch, catalog)
     assert serialize(grown) == serialize(build_from(bodies + extras, catalog))
 
 
