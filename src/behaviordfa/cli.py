@@ -255,8 +255,7 @@ def _cmd_export_dot(args) -> int:
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
     catalog = _load_catalog_arg(args.catalog)
-    if args.catalog is not None:
-        check_catalog(dfa, catalog)
+    check_catalog(dfa, catalog)
     _emit(export_dot(dfa, catalog).encode("utf-8"), args.out)
     return 0
 

@@ -508,7 +508,8 @@ def _transition_hook(obj: dict):
 
 def _require_int(value, where: str) -> int:
     if type(value) is not int:
-        raise ModelFormatError(f"{where} must be an integer, got {_show(value)}")
+        shown = brief(value, json.JSONEncoder().iterencode)  # as the model file spells it
+        raise ModelFormatError(f"{where} must be an integer, got {shown}")
     return value
 
 
@@ -522,18 +523,8 @@ def _transition_error(position: int, raw) -> ModelFormatError:
             return exc
     return ModelFormatError(
         f"transition {position}: expected an object with keys "
-        f"{sorted(_TRANSITION_KEYS)}, got {_show(raw)}"
+        f"{sorted(_TRANSITION_KEYS)}, got {brief(raw, json.JSONEncoder().iterencode)}"
     )
-
-
-def _show(value) -> str:
-    """A JSON value as the model file spells it, cut short if long."""
-    text = ""
-    for chunk in json.JSONEncoder().iterencode(value):  # lazy: encoded only as deep as shown
-        text += chunk
-        if len(text) > 60:
-            return text[:57] + "..."
-    return text
 
 
 def export_dot(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> str:

@@ -12,14 +12,14 @@ from __future__ import annotations
 _SHOWN = 60  # longest input value an error message quotes
 
 
-def brief(value) -> str:
-    """repr(value) for an error message, cut to 60 characters if longer.
+def brief(value, spell=None) -> str:
+    """repr(value), or the pieces `spell(value)` yields, cut to 60 characters if longer.
 
-    Lists and dicts are rendered piece by piece and only until 60 characters
-    are passed, so quoting a huge one costs no more than a small one.
+    Pieces are joined only until 60 characters are passed, so quoting a huge
+    list or dict costs no more than a small one.
     """
     text = ""
-    for piece in _repr_pieces(value, set()):
+    for piece in _repr_pieces(value, set()) if spell is None else spell(value):
         text += piece
         if len(text) > _SHOWN:
             return text[: _SHOWN - 3] + "..."

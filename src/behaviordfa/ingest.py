@@ -84,9 +84,10 @@ def parse_traces(
 ) -> Iterator[BehaviorTrace]:
     """Parse a trace file strictly, raising on the first bad record.
 
-    ``source`` is any iterable of lines (an open file works). Traces are
-    yielded as soon as their line is read, in input order. When a catalog
-    is given, every behavior id must resolve in it.
+    ``source`` is any iterable of lines, str or UTF-8 bytes (an open file
+    works). A blank line is skipped, but counted in later line numbers.
+    Traces are yielded as soon as their line is read, in input order. When
+    a catalog is given, every behavior id must resolve in it.
     """
     return _iter_records(source, catalog, strict=True)
 
@@ -97,8 +98,8 @@ def scan_traces(
 ) -> Iterator[Union[BehaviorTrace, RecordError]]:
     """Error-tolerant variant of parse_traces().
 
-    Bad records come out as RecordError items in place, so one malformed
-    line never aborts a batch.
+    A bad line, whatever its fault (encoding, JSON, a field or a step), comes
+    out as a RecordError in its place, so one malformed line never aborts a batch.
     """
     return _iter_records(source, catalog, strict=False)
 
@@ -107,40 +108,33 @@ def _iter_records(source, catalog, strict):
     known = None if catalog is None else catalog.ids
     seen_ids: set[str] = set()
     shared: dict = {}  # int or tuple entry -> its checked step, for this stream
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, line in enumerate(source, start=1):
         try:
-            text = _as_text(raw, line_no)
+            item = _parse_record(line, line_no, known, seen_ids, shared)
         except EngineError as exc:
             if strict:
                 raise
-            yield RecordError(line_no, str(exc))
-            continue
-        if not text.strip():
-            continue
-        try:
-            yield _parse_record(text, line_no, known, seen_ids, shared)
-        except EngineError as exc:
-            if strict:
-                raise
-            yield RecordError(line_no, str(exc))
+            item = RecordError(line_no, str(exc))
+        if item is not None:
+            yield item
 
 
-def _as_text(raw, line_no):
-    if isinstance(raw, (bytes, bytearray)):
+def _parse_record(line, line_no, known, seen_ids, shared):
+    """The checked trace of one input line, str or UTF-8 bytes, or None if it is blank.
+
+    `known` is the catalog's id set, or None to accept any id. `shared` maps
+    the entries already checked in this stream to their steps. Every fault of
+    the line, its encoding included, raises an EngineError from here.
+    """
+    if isinstance(line, (bytes, bytearray)):
         try:
-            return raw.decode("utf-8")
+            line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"not valid UTF-8: {exc}", line=line_no) from exc
-    return raw
-
-
-def _parse_record(text, line_no, known, seen_ids, shared):
-    """One checked trace; `known` is the catalog's id set, or None to accept any id.
-
-    `shared` maps the entries already checked in this stream to their steps.
-    """
+    if not line.strip():  # after decoding: a UTF-8 no-break space is blank too
+        return None
     try:
-        obj = json.loads(text)
+        obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TraceFormatError(f"not valid JSON: {exc}", line=line_no) from exc
     if not isinstance(obj, dict):

@@ -89,6 +89,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="not valid JSON"):
             load_catalog(b"[{")
 
+    def test_rejects_a_file_that_is_not_utf8(self):
+        with pytest.raises(CatalogError) as raised:
+            load_catalog(io.BytesIO(b'[{"id": 1, "name": "\xff", "weight": 1}]'))
+        assert str(raised.value) == (
+            "catalog file is not valid UTF-8: "
+            "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
+        )
+
     def test_rejects_empty_name(self):
         with pytest.raises(CatalogError, match="non-empty string"):
             load([entry(1, "", 1)])

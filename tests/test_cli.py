@@ -118,6 +118,16 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "step 0 holds [0, 1, 2" in err and len(err) < 300
 
+    def test_a_pattern_line_that_is_not_utf8_fails_naming_the_line(self, tmp_path, capsys):
+        patterns = tmp_path / "p.jsonl"
+        patterns.write_bytes(b'{"id": "a", "steps": [7]}\n\xff\n')
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: not valid UTF-8: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
     def test_no_partial_model_is_left_behind_on_failure(self, tmp_path):
         bad = write_jsonl(tmp_path / "p.jsonl", [{"id": "x", "steps": [99]}])
         out = tmp_path / "model.json"
@@ -498,6 +508,33 @@ class TestExportDot:
         assert code == 1
         assert "catalog" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_custom_catalog_model_needs_its_catalog(self, tmp_path, capsys):
+        catalog_file = tmp_path / "custom.json"
+        catalog_file.write_text(
+            json.dumps(
+                [
+                    {"id": 7, "name": "Custom Seven", "weight": 9},
+                    {"id": 5, "name": "Custom Five", "weight": 1},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        patterns = write_jsonl(tmp_path / "p.jsonl", [{"id": "x", "steps": [7, 5]}])
+        model = tmp_path / "m.json"
+        build = ["build", "--patterns", str(patterns), "--catalog", str(catalog_file)]
+        assert main(build + ["--out", str(model)]) == 0
+        capsys.readouterr()
+        # Without --catalog the built-in one stands in, and it is not the model's.
+        assert main(["export-dot", "--model", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model was built with catalog ")
+        assert captured.out == ""
+        code = main(["export-dot", "--model", str(model), "--catalog", str(catalog_file)])
+        assert code == 0
+        dot = capsys.readouterr().out
+        assert 'q0 -> q1 [label="Custom Seven (7, w=9)"];' in dot
+        assert 'q1 -> q2 [label="Custom Five (5, w=1)"];' in dot
 
 
 class TestCliContract:

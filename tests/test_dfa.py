@@ -626,6 +626,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=f'^"{key}" must be an integer, got "x"$'):
             deserialize(json.dumps(doc))
 
+    def test_negative_pattern_count_is_rejected(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["pattern_count"] = -1
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == "pattern count must be non-negative, got -1"
+
+    def test_a_file_that_is_not_utf8_is_rejected(self, seed_dfa):
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(b"\xff" + serialize(seed_dfa))
+        assert str(raised.value) == (
+            "model file is not valid UTF-8: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        )
+
     # The parser makes every well-formed transition object a Transition,
     # wherever it stands; out of its place it is still shown as an object.
     TRANSITION = {"from": 0, "on": 7, "to": 1, "weight": 3}

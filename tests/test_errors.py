@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviordfa.errors import brief
 
 
-def cut_repr(value) -> str:
-    text = repr(value)
+def cut(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def cut_repr(value) -> str:
+    return cut(repr(value))
+
+
+# brief()'s two spellings, each with the whole text it cuts short: repr, and
+# the JSON that model files use.
+SPELLINGS = pytest.mark.parametrize(
+    "spell, whole",
+    [(None, repr), (json.JSONEncoder().iterencode, json.dumps)],
+    ids=["repr", "json"],
+)
 
 
 json_values = st.recursive(
@@ -22,10 +36,11 @@ json_values = st.recursive(
 )
 
 
+@SPELLINGS
 @settings(deadline=None)
 @given(json_values)
-def test_brief_is_repr_cut_to_sixty_characters(value):
-    assert brief(value) == cut_repr(value)
+def test_brief_is_the_spelling_cut_to_sixty_characters(spell, whole, value):
+    assert brief(value, spell) == cut(whole(value))
 
 
 def test_containers_inside_themselves_read_as_repr_shows_them():
@@ -43,17 +58,18 @@ def test_other_types_fall_back_to_repr():
         assert brief(value) == cut_repr(value)
 
 
-def test_quoting_a_huge_list_renders_only_its_head():
+@SPELLINGS
+def test_quoting_a_huge_list_renders_only_its_head(spell, whole):
     # Its whole repr is 7.9 MB; quoting it keeps 60 characters and allocates little more.
     huge = list(range(1_000_000))
     nested = {"steps": [huge, huge]}
     tracemalloc.start()
     try:
-        head = brief(huge)
-        nested_head = brief(nested)
+        head = brief(huge, spell)
+        nested_head = brief(nested, spell)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert head == repr(huge[:20])[:57] + "..."
-    assert nested_head == "{'steps': " + repr([huge[:20]])[: 57 - 10] + "..."
+    assert head == whole(huge[:20])[:57] + "..."
+    assert nested_head == whole({"steps": [huge[:20]]})[:57] + "..."
     assert peak < 64_000

@@ -389,6 +389,10 @@ class TestScanTraces:
         assert isinstance(items[2], RecordError) and "99" in items[2].reason
         assert isinstance(items[3], BehaviorTrace)
 
+    def test_steps_that_are_not_an_array_are_one_record_error(self, catalog):
+        (error,) = scan_traces(jsonl({"id": "b", "steps": 7}), catalog)
+        assert error == RecordError(1, "line 1: trace 'b': 'steps' must be an array")
+
     def test_rejects_exactly_the_violating_records(self, catalog):
         records = [{"id": f"t{i}", "steps": [7, 5]} for i in range(10)]
         records[3]["steps"] = [99]
@@ -398,6 +402,36 @@ class TestScanTraces:
         bad = [i.line for i in items if isinstance(i, RecordError)]
         assert good == [f"t{i}" for i in range(10) if i not in (3, 7)]
         assert bad == [4, 8]
+
+
+NOT_UTF8 = (
+    "line 2: not valid UTF-8: "
+    "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+)
+
+
+class TestUndecodableAndBlankLines:
+    GOOD = json.dumps({"id": "a", "steps": [7]}).encode("utf-8") + b"\n"
+
+    def test_a_line_that_is_not_utf8_is_one_record_error(self, catalog):
+        items = list(scan_traces([self.GOOD, b"\xff\n", b"{nope\n"], catalog))
+        assert items[1] == RecordError(2, NOT_UTF8)
+        assert [type(i) for i in items] == [BehaviorTrace, RecordError, RecordError]
+
+    def test_a_line_that_is_not_utf8_stops_a_strict_parse(self, catalog):
+        with pytest.raises(TraceFormatError) as raised:
+            list(parse_traces([self.GOOD, b"\xff\n"], catalog))
+        assert str(raised.value) == NOT_UTF8
+
+    @pytest.mark.parametrize(
+        "blank",
+        [b"\n", b"  \t\r\n", "\u00a0\n".encode("utf-8"), "\u00a0\u3000", "   "],
+        ids=["empty", "ascii-space", "nbsp-bytes", "unicode-space-text", "space-text"],
+    )
+    def test_a_whitespace_line_is_skipped_and_still_counted(self, catalog, blank):
+        items = list(scan_traces([self.GOOD, blank, b"{nope\n"], catalog))
+        assert [type(i) for i in items] == [BehaviorTrace, RecordError]
+        assert items[1].line == 3 and items[1].reason.startswith("line 3: not valid JSON")
 
 
 class TestDirectlyBuiltTraces:
