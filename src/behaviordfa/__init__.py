@@ -48,7 +48,6 @@ from .errors import (
 from .ingest import (
     BehaviorTrace,
     RecordError,
-    compress_runs,
     parse_traces,
     scan_traces,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "classification_record",
     "classify",
     "classify_stream",
-    "compress_runs",
     "default_catalog",
     "deserialize",
     "export_dot",

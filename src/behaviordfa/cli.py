@@ -20,7 +20,7 @@ import sys
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
 from .dfa import add_patterns, build_dfa, check_catalog, deserialize, export_dot, serialize
-from .errors import EngineError, InternalInvariantError, PatternError
+from .errors import EngineError, InternalInvariantError, PatternError, brief
 from .ingest import parse_traces, scan_traces
 
 # `add` grows the model once for its whole batch. The step keeps the name
@@ -131,7 +131,7 @@ def _load_patterns(path: str, catalog: BehaviorCatalog):
     for trace in patterns:
         if trace.label == "benign":
             raise PatternError(
-                f"pattern {trace.trace_id!r} is labeled benign; "
+                f"pattern {brief(trace.trace_id)} is labeled benign; "
                 "models are built from malicious sequences only"
             )
     if not patterns:

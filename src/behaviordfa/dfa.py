@@ -3,9 +3,12 @@
 The automaton is a trie of known-malicious behavior sequences with one
 twist: consecutive repeats of a behavior are collapsed into a single
 forward transition plus a self-loop on its target state, so repetition
-count never multiplies states. Two sequences that start with the same
-runs share a common prefix path, which keeps the transition function
-deterministic. The last state of every inserted sequence is final.
+count never multiplies states. Growing reads each sequence once, step by
+step: a step that repeats the one before gives the current state its
+self-loop, and any other step follows or makes a forward transition. Two
+sequences that start with the same runs share a common prefix path, which
+keeps the transition function deterministic. The last state of every
+inserted sequence is final.
 
 Every transition carries the risk weight of its behavior, frozen from the
 catalog at build time; the catalog's fingerprint is recorded so a model
@@ -47,7 +50,7 @@ from .errors import (
     UnknownBehaviorError,
     brief,
 )
-from .ingest import BehaviorTrace, compress_runs
+from .ingest import BehaviorTrace
 
 MODEL_VERSION = 1
 
@@ -224,23 +227,12 @@ def add_patterns(
     return _grow(dfa, list(patterns), catalog)
 
 
-def _flatten_pattern(pattern: BehaviorTrace) -> list[int]:
-    flat: list[int] = []
-    for index, step in enumerate(pattern.steps):
-        if len(step) != 1:
-            raise PatternError(
-                f"pattern {brief(pattern.trace_id)}: step {index} holds "
-                f"{len(step)} behaviors; patterns must use single-behavior steps"
-            )
-        flat.append(step[0])
-    if not flat:
-        raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
-    return flat
-
-
 def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
     """`base` grown by `patterns`, inserted in order; new states are numbered on from base's.
 
+    Each pattern's steps are read once. A step equal to the one before
+    gives the current state its self-loop, unless base or this call has
+    one already; any other step follows its edge or makes a new state.
     Base is never copied: its edges are found by bisection in its sorted
     transitions, and only the edges this call adds go in a dict, so the
     cost is O(pattern * log model) lookups plus one copy and merge of the
@@ -252,8 +244,23 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
     finals = set(base.finals)
     count = base.state_count
     for pattern in patterns:
+        steps = pattern.steps
+        if set(map(len, steps)) != {1}:  # checked before any id is looked up
+            for index, step in enumerate(steps):
+                if len(step) != 1:
+                    raise PatternError(
+                        f"pattern {brief(pattern.trace_id)}: step {index} holds "
+                        f"{len(step)} behaviors; patterns must use single-behavior steps"
+                    )
+            raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
         state = 0
-        for behavior, length in compress_runs(_flatten_pattern(pattern)):
+        last = None
+        for (behavior,) in steps:
+            if behavior == last:
+                key = (state, behavior)
+                if key not in added and (state >= searched or _edge_in(edges, key) is None):
+                    added[key] = Transition(state, behavior, state, weight)
+                continue
             try:
                 weight = catalog.weight_of(behavior)
             except UnknownBehaviorError:
@@ -270,13 +277,12 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
             else:
                 nxt = existing.target
                 if nxt == state:
-                    # Run-compressed input can never follow a self-loop forward.
+                    # A state loops only on the behavior that enters it, which is `last`.
                     raise InternalInvariantError(
                         f"adjacent runs share behavior {behavior} at state {state}"
                     )
-            if length > 1 and (nxt >= searched or _edge_in(edges, (nxt, behavior)) is None):
-                added[nxt, behavior] = Transition(nxt, behavior, nxt, weight)
             state = nxt
+            last = behavior
         finals.add(state)
     return BehaviorDfa(
         state_count=count,

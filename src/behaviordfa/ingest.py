@@ -1,4 +1,4 @@
-"""Trace file parsing and run-length compression.
+"""Trace file parsing.
 
 Trace files are line-delimited JSON, one trace per line:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .catalog import BehaviorCatalog
 from .errors import (
@@ -61,21 +61,6 @@ class RecordError(NamedTuple):
 
     line: int
     reason: str
-
-
-def compress_runs(flat: Sequence[int]) -> list[tuple[int, int]]:
-    """Collapse consecutive repeats into (behavior, count) runs.
-
-    Maximal encoding: no two adjacent runs share a behavior, and repeating
-    each behavior `count` times restores the input exactly.
-    """
-    runs: list[tuple[int, int]] = []
-    for behavior in flat:
-        if runs and runs[-1][0] == behavior:
-            runs[-1] = (behavior, runs[-1][1] + 1)
-        else:
-            runs.append((behavior, 1))
-    return runs
 
 
 def parse_traces(

@@ -21,16 +21,16 @@ from behaviordfa.dfa import (
     MODEL_VERSION,
     BehaviorDfa,
     Transition,
-    _flatten_pattern,
     validate,
 )
 from behaviordfa.errors import (
     InternalInvariantError,
     ModelFormatError,
+    PatternError,
     TraceFormatError,
     UnknownBehaviorError,
+    brief,
 )
-from behaviordfa.ingest import compress_runs
 
 from helpers import make_trace
 
@@ -146,14 +146,47 @@ def oracle_classify(dfa: BehaviorDfa, steps):
     return "partially_malign", pct, end, matched_weight, final, denominator
 
 
+def compress_runs(flat):
+    """Collapse consecutive repeats into (behavior, count) runs.
+
+    Maximal encoding: no two adjacent runs share a behavior, and repeating
+    each behavior `count` times restores the input exactly.
+    """
+    runs = []
+    for behavior in flat:
+        if runs and runs[-1][0] == behavior:
+            runs[-1] = (behavior, runs[-1][1] + 1)
+        else:
+            runs.append((behavior, 1))
+    return runs
+
+
+def flatten_pattern(pattern):
+    """A pattern's behavior ids, one per step; raises PatternError as the engine words it."""
+    flat = []
+    for index, step in enumerate(pattern.steps):
+        if len(step) != 1:
+            raise PatternError(
+                f"pattern {brief(pattern.trace_id)}: step {index} holds "
+                f"{len(step)} behaviors; patterns must use single-behavior steps"
+            )
+        flat.append(step[0])
+    if not flat:
+        raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
+    return flat
+
+
 def oracle_grow(base: BehaviorDfa, patterns, catalog) -> BehaviorDfa:
-    """`base` grown by `patterns` through a dict of every transition, copied up front."""
+    """`base` grown by `patterns` through a dict of every transition, copied up front.
+
+    Each pattern is flattened, then compressed into runs, then walked run by run.
+    """
     transitions = {(t.source, t.behavior): t for t in base.transitions}
     finals = set(base.finals)
     count = base.state_count
     for pattern in patterns:
         state = 0
-        for behavior, length in compress_runs(_flatten_pattern(pattern)):
+        for behavior, length in compress_runs(flatten_pattern(pattern)):
             try:
                 weight = catalog.weight_of(behavior)
             except UnknownBehaviorError:

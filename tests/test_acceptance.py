@@ -18,10 +18,10 @@ from behaviordfa.catalog import default_catalog
 from behaviordfa.classify import Verdict, classify, nearest_final
 from behaviordfa.cli import main
 from behaviordfa.dfa import add_pattern, build_dfa, deserialize, serialize
-from behaviordfa.ingest import compress_runs, scan_traces
+from behaviordfa.ingest import scan_traces
 
 from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
-from oracle import oracle_classify, random_patterns, random_trace_steps
+from oracle import compress_runs, oracle_classify, random_patterns, random_trace_steps
 
 ALPHABET = [1, 5, 7, 11]
 SEED = 20250808

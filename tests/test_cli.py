@@ -101,6 +101,17 @@ class TestBuild:
         assert code == 1
         assert "'oops'" in capsys.readouterr().err
 
+    def test_a_benign_pattern_with_a_long_id_fails_quoting_it_cut_short(self, tmp_path, capsys):
+        patterns = write_jsonl(
+            tmp_path / "p.jsonl", [{"id": "b" * 200, "steps": [7], "label": "benign"}]
+        )
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: pattern '" + "b" * 56 + "... is labeled benign; "
+            "models are built from malicious sequences only\n"
+        )
+
     def test_a_pattern_line_nested_too_deep_fails(self, tmp_path, capsys):
         patterns = tmp_path / "p.jsonl"
         deep = '{"id": "deep", "steps": ' + "[" * 5000 + "7" + "]" * 5000 + "}\n"

@@ -129,6 +129,13 @@ class TestBuild:
         with pytest.raises(PatternError, match=r"'grouped'.*step 1"):
             build_dfa([make_trace([7, [5, 1]], "grouped")], catalog)
 
+    def test_a_bad_step_is_rejected_before_any_id_is_looked_up(self, catalog, seed_dfa):
+        pattern = make_trace([99, [5, 1]], "both")
+        with pytest.raises(PatternError, match=r"'both': step 1 holds 2 behaviors"):
+            build_dfa([pattern], catalog)
+        with pytest.raises(PatternError, match=r"'both': step 1 holds 2 behaviors"):
+            add_patterns(seed_dfa, [pattern], catalog)
+
     def test_unknown_behavior_rejected(self, catalog):
         with pytest.raises(UnknownBehaviorError, match="99"):
             build_dfa([make_trace([99], "stray")], catalog)

@@ -15,13 +15,12 @@ from behaviordfa.errors import PatternError, TraceFormatError, UnknownBehaviorEr
 from behaviordfa.ingest import (
     BehaviorTrace,
     RecordError,
-    compress_runs,
     parse_traces,
     scan_traces,
 )
 
 from helpers import PATTERN_A, PATTERN_B
-from oracle import oracle_steps
+from oracle import compress_runs, oracle_steps
 
 
 def jsonl(*records):

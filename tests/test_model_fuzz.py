@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behaviordfa.classify import Verdict, classify
@@ -169,8 +169,26 @@ def _outcome(grow):
     return dfa.state_count, dfa.transitions, dfa.finals, dfa.pattern_count
 
 
+class _Drawn:
+    """Stands in for st.data() in an @example: its draw() gives back `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+    def __repr__(self):
+        return f"_Drawn({self.value!r})"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(trie_documents(), pattern_bodies), st.data())
+# A run on a base state without a self-loop adds one, a run on a base state
+# that has one adds none, and a run on a state this call makes adds one.
+@example(base=[[7, 5]], data=_Drawn([[7, 7, 5]]))
+@example(base=[[7, 7, 5]], data=_Drawn([[7, 7, 7]]))
+@example(base=[[7]], data=_Drawn([[5, 5, 5, 7]]))
 def test_growing_a_model_matches_the_reference(catalog, base, data):
     if isinstance(base, tuple):  # a hand-shaped document, stamped with the catalog's fingerprint
         doc, paths = base
