@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
-from .errors import CatalogError, UnknownBehaviorError, brief
+from .errors import CatalogError, UnknownBehaviorError, brief, is_text
 
 
 class BehaviorSpec(NamedTuple):
@@ -49,6 +49,8 @@ def _check_spec(spec: BehaviorSpec, where: str) -> None:
         )
     if not isinstance(spec.name, str) or not spec.name:
         raise CatalogError(f"{where}: behavior {spec.id}: name must be a non-empty string")
+    if not is_text(spec.name):
+        raise CatalogError(f"{where}: behavior {spec.id}: name is not valid Unicode text")
     if isinstance(spec.weight, bool) or not isinstance(spec.weight, int) or spec.weight < 1:
         raise CatalogError(
             f"{where}: behavior {spec.id} ({brief(spec.name)}): "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
@@ -221,7 +222,6 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    # Before any input is read: the report file is truncated on open.
     _refuse_out_over_inputs(args, "traces", "model", "catalog")
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
@@ -230,22 +230,17 @@ def _cmd_classify(args) -> int:
         catalog = _load_catalog_arg(args.catalog)
         check_catalog(dfa, catalog)
     summary = BatchSummary()
-
-    def render(out):
+    # The report opens last: an input that cannot be opened leaves the old one as it was.
+    with open(args.traces, "rb") as traces_fh, (
+        nullcontext(sys.stdout) if args.out is None
+        else open(args.out, "w", encoding="utf-8", newline="")
+    ) as out:
         writer = JsonReportWriter(out) if args.format == "json" else CsvReportWriter(out)
-        with open(args.traces, "rb") as traces_fh:
-            for item in classify_stream(dfa, scan_traces(traces_fh, catalog)):
-                summary.add(item)
-                writer.record(item)
+        for item in classify_stream(dfa, scan_traces(traces_fh, catalog)):
+            summary.add(item)
+            writer.record(item)
         writer.finish(summary)
-
-    if args.out is None:
-        render(sys.stdout)
-        sys.stdout.flush()
-    else:
-        # Reports stream straight to the file; only models need atomic writes.
-        with open(args.out, "w", encoding="utf-8", newline="") as out_fh:
-            render(out_fh)
+        out.flush()
     _say(args, summary.summary_line())
     return 0
 

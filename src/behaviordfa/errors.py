@@ -26,6 +26,14 @@ def brief(value, spell=None) -> str:
     return text
 
 
+def is_text(value: str) -> bool:
+    """Whether `value` encodes as UTF-8: JSON can carry a lone surrogate, UTF-8 cannot."""
+    try:
+        return value.isascii() or bool(value.encode("utf-8"))
+    except UnicodeEncodeError:
+        return False
+
+
 def _repr_pieces(value, open_ids):
     """repr(value) in pieces; `open_ids` holds the containers being rendered."""
     kind = type(value)
@@ -61,18 +69,12 @@ class UnknownBehaviorError(EngineError):
 
     def __init__(self, behavior_id: int, context: str | None = None):
         self.behavior_id = behavior_id
-        message = f"unknown behavior id {behavior_id}"
-        if context:
-            message = f"{message} ({context})"
-        super().__init__(message)
+        suffix = f" ({context})" if context else ""
+        super().__init__(f"unknown behavior id {behavior_id}{suffix}")
 
 
 class TraceFormatError(EngineError):
     """A trace record could not be parsed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class PatternError(EngineError):

@@ -30,6 +30,7 @@ from .errors import (
     TraceFormatError,
     UnknownBehaviorError,
     brief,
+    is_text,
 )
 
 LABELS = ("malicious", "benign")
@@ -70,9 +71,9 @@ def parse_traces(
     """Parse a trace file strictly, raising on the first bad record.
 
     ``source`` is any iterable of lines, str or UTF-8 bytes (an open file
-    works). A blank line is skipped, but counted in later line numbers.
-    Traces are yielded as soon as their line is read, in input order. When
-    a catalog is given, every behavior id must resolve in it.
+    works). Traces are yielded as soon as their line is read, in input order;
+    a blank line is skipped, but counted. With a catalog, every behavior id
+    must resolve in it. The error's message begins ``line N: ``; its ``line`` is N.
     """
     return _iter_records(source, catalog, strict=True)
 
@@ -83,8 +84,8 @@ def scan_traces(
 ) -> Iterator[Union[BehaviorTrace, RecordError]]:
     """Error-tolerant variant of parse_traces().
 
-    A bad line, whatever its fault (encoding, JSON, a field or a step), comes
-    out as a RecordError in its place, so one malformed line never aborts a batch.
+    A bad line, whatever its fault, comes out in its place as a RecordError of its
+    number and parse_traces()'s message, so one bad line never aborts a batch.
     """
     return _iter_records(source, catalog, strict=False)
 
@@ -95,8 +96,10 @@ def _iter_records(source, catalog, strict):
     shared: dict = {}  # int or tuple entry -> its checked step, for this stream
     for line_no, line in enumerate(source, start=1):
         try:
-            item = _parse_record(line, line_no, known, seen_ids, shared)
-        except EngineError as exc:
+            item = _parse_record(line, known, seen_ids, shared)
+        except EngineError as exc:  # named here, the one place that knows the line
+            exc.args = (f"line {line_no}: {exc}",)
+            exc.line = line_no
             if strict:
                 raise
             item = RecordError(line_no, str(exc))
@@ -104,42 +107,42 @@ def _iter_records(source, catalog, strict):
             yield item
 
 
-def _parse_record(line, line_no, known, seen_ids, shared):
+def _parse_record(line, known, seen_ids, shared):
     """The checked trace of one input line, str or UTF-8 bytes, or None if it is blank.
 
     `known` is the catalog's id set, or None to accept any id. `shared` maps
     the entries already checked in this stream to their steps. Every fault of
-    the line, its encoding included, raises an EngineError from here.
+    the line raises an EngineError from here; _iter_records() adds its number.
     """
     if isinstance(line, (bytes, bytearray)):
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"not valid UTF-8: {exc}", line=line_no) from exc
+            raise TraceFormatError(f"not valid UTF-8: {exc}") from exc
     if not line.strip():  # after decoding: a UTF-8 no-break space is blank too
         return None
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise TraceFormatError(f"not valid JSON: {exc}", line=line_no) from exc
+        raise TraceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise TraceFormatError("record is not a JSON object", line=line_no)
+        raise TraceFormatError("record is not a JSON object")
 
     trace_id = obj.get("id")
     if not isinstance(trace_id, str) or not trace_id:
-        raise TraceFormatError("missing or non-string 'id'", line=line_no)
+        raise TraceFormatError("missing or non-string 'id'")
+    if not is_text(trace_id):
+        raise TraceFormatError(f"trace id {brief(trace_id)} is not valid Unicode text")
     if trace_id in seen_ids:
-        raise TraceFormatError(f"duplicate trace id {brief(trace_id)}", line=line_no)
+        raise TraceFormatError(f"duplicate trace id {brief(trace_id)}")
 
     label = obj.get("label")
     if label is not None and label not in LABELS:
-        raise TraceFormatError(
-            f"trace {brief(trace_id)}: label must be one of {LABELS} or null", line=line_no
-        )
+        raise TraceFormatError(f"trace {brief(trace_id)}: label must be one of {LABELS} or null")
 
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):
-        raise TraceFormatError(f"trace {brief(trace_id)}: 'steps' must be an array", line=line_no)
+        raise TraceFormatError(f"trace {brief(trace_id)}: 'steps' must be an array")
 
     # A step is looked up by its entry: an int as itself, a list as its tuple.
     # A miss (an unseen, bad or unhashable entry) is checked and remembered.
@@ -161,7 +164,7 @@ def _parse_record(line, line_no, known, seen_ids, shared):
                 step = None
             if step is None:
                 step = key if type(entry) is list else (entry,)
-                _check_step(step, len(steps), trace_id, line_no, known)
+                _check_step(step, len(steps), trace_id, known)
                 if len(step) <= _SHARED_WIDTH:
                     if len(shared) >= _SHARED_STEPS:  # full: start over, so a run still shares
                         shared.clear()
@@ -176,8 +179,7 @@ def _parse_record(line, line_no, known, seen_ids, shared):
     # not, or a miss failed, the checks run again from step 0 to raise the first error.
     if steps is None or not _INT.issuperset(map(type, chain.from_iterable(grouped))):
         for index, entry in enumerate(raw_steps):
-            _check_step(tuple(entry) if type(entry) is list else (entry,), index, trace_id,
-                        line_no, known)
+            _check_step(tuple(entry) if type(entry) is list else (entry,), index, trace_id, known)
         raise InternalInvariantError(f"trace {brief(trace_id)}: census failed, checks passed")
 
     seen_ids.add(trace_id)
@@ -185,26 +187,23 @@ def _parse_record(line, line_no, known, seen_ids, shared):
     return tuple.__new__(BehaviorTrace, (trace_id, tuple(steps), label))
 
 
-def _check_step(step, index, trace_id, line_no, known):
+def _check_step(step, index, trace_id, known):
     """Raise the error of the first bad behavior in one step, a tuple of its entry's values.
 
     Per behavior: type (JSON types are exact; no bools), then repeat, then catalog.
     """
     if not step:
-        raise TraceFormatError(f"trace {brief(trace_id)}: step {index} is empty", line=line_no)
+        raise TraceFormatError(f"trace {brief(trace_id)}: step {index} is empty")
     earlier = set() if len(step) > 1 else None  # keeps the repeat check linear in the step
     for b in step:
         if type(b) is not int or b < 0:
             raise TraceFormatError(
                 f"trace {brief(trace_id)}: step {index} holds {brief(b)}, "
-                "expected a non-negative integer behavior id",
-                line=line_no,
+                "expected a non-negative integer behavior id"
             )
+        if earlier is not None and b in earlier:
+            raise TraceFormatError(f"trace {brief(trace_id)}: step {index} repeats behavior {b}")
         if earlier is not None:
-            if b in earlier:
-                raise TraceFormatError(
-                    f"trace {brief(trace_id)}: step {index} repeats behavior {b}", line=line_no
-                )
             earlier.add(b)
         if known is not None and b not in known:
             raise UnknownBehaviorError(b, context=f"trace {brief(trace_id)}, step {index}")

@@ -223,25 +223,30 @@ def oracle_steps(raw_steps, trace_id, line_no, known):
     """A record's steps checked one by one, each its own tuple; raises as the parser does.
 
     Per behavior: type, then repeat within the step, then the catalog
-    (`known`, or None to accept any id).
+    (`known`, or None to accept any id). Every error begins `line N: `.
     """
+    try:
+        return _oracle_steps(raw_steps, trace_id, known)
+    except (TraceFormatError, UnknownBehaviorError) as exc:
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
+
+
+def _oracle_steps(raw_steps, trace_id, known):
     steps = []
     for index, entry in enumerate(raw_steps):
         step = tuple(entry) if type(entry) is list else (entry,)
         if not step:
-            raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty", line=line_no)
+            raise TraceFormatError(f"trace {trace_id!r}: step {index} is empty")
         earlier = []
         for b in step:
             if type(b) is not int or b < 0:
                 raise TraceFormatError(
                     f"trace {trace_id!r}: step {index} holds {b!r}, "
-                    "expected a non-negative integer behavior id",
-                    line=line_no,
+                    "expected a non-negative integer behavior id"
                 )
             if b in earlier:
-                raise TraceFormatError(
-                    f"trace {trace_id!r}: step {index} repeats behavior {b}", line=line_no
-                )
+                raise TraceFormatError(f"trace {trace_id!r}: step {index} repeats behavior {b}")
             earlier.append(b)
             if known is not None and b not in known:
                 raise UnknownBehaviorError(b, context=f"trace {trace_id!r}, step {index}")

@@ -101,6 +101,11 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="non-empty string"):
             load([entry(1, "", 1)])
 
+    def test_rejects_a_name_that_is_not_unicode_text(self):
+        expected = r"^entry 2: behavior 3: name is not valid Unicode text$"
+        with pytest.raises(CatalogError, match=expected):
+            load([entry(1, "A", 1), entry(3, "Find\ud800", 2)])
+
     def test_rejects_negative_id(self):
         with pytest.raises(CatalogError, match="non-negative integer"):
             load([entry(-1, "A", 1)])
@@ -128,6 +133,10 @@ class TestConstructor:
     def test_duplicate_id_names_the_entry(self):
         with pytest.raises(CatalogError, match=r"^entry 2: duplicate behavior id 1$"):
             BehaviorCatalog([BehaviorSpec(1, "A", 1), BehaviorSpec(1, "B", 2)])
+
+    def test_a_name_that_is_not_unicode_text_names_the_entry(self):
+        with pytest.raises(CatalogError, match=r"^entry 1: behavior 1: name is not valid Unicode"):
+            BehaviorCatalog([BehaviorSpec(1, "A\udfff", 1)])
 
     def test_bad_weight_names_the_entry(self):
         specs = [BehaviorSpec(1, "A", 1), BehaviorSpec(2, "B", 1), BehaviorSpec(3, "C", 0)]

@@ -139,6 +139,44 @@ class TestBuild:
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
         )
 
+    def test_an_unknown_id_in_a_pattern_line_fails_naming_the_line(self, tmp_path, capsys):
+        patterns = write_jsonl(
+            tmp_path / "p.jsonl", [{"id": "a", "steps": [7]}, {"id": "x", "steps": [99]}]
+        )
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: unknown behavior id 99 (trace 'x', step 0)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["build", "add"])
+    def test_a_pattern_id_that_is_not_unicode_text_fails_naming_the_line(
+        self, tmp_path, model_file, capsys, command
+    ):
+        patterns = tmp_path / "p.jsonl"
+        patterns.write_text('{"id": "x\\ud800", "steps": [7, 5]}\n', encoding="utf-8")
+        before = model_file.read_bytes()
+        target = {"build": "--out", "add": "--model"}[command]
+        argv = [command, "--patterns", str(patterns), target, str(model_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: trace id 'x\\ud800' is not valid Unicode text\n"
+        )
+        assert model_file.read_bytes() == before
+
+    def test_a_catalog_name_that_is_not_unicode_text_fails(self, tmp_path, model_file, capsys):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([{"id": 7, "name": "Find\ud800", "weight": 2}]))
+        patterns = write_jsonl(tmp_path / "p.jsonl", [{"id": "x", "steps": [7]}])
+        expected = "error: entry 1: behavior 7: name is not valid Unicode text\n"
+        out = tmp_path / "out"
+        build = ["build", "--patterns", str(patterns), "--catalog", str(catalog)]
+        export = ["export-dot", "--model", str(model_file), "--catalog", str(catalog)]
+        for argv in (build, export):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_no_partial_model_is_left_behind_on_failure(self, tmp_path):
         bad = write_jsonl(tmp_path / "p.jsonl", [{"id": "x", "steps": [99]}])
         out = tmp_path / "model.json"
@@ -400,6 +438,48 @@ class TestClassify:
         assert error["line"] == 1 and "step 0 holds [0, 1, 2" in error["error"]
         assert len(error["error"]) < 200
         assert record["id"] == "ok" and summary["summary"]["record_errors"] == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_an_id_that_is_not_unicode_text_is_one_record_error(
+        self, tmp_path, model_file, capsys, fmt, to_file
+    ):
+        traces = tmp_path / "t.jsonl"
+        good = json.dumps({"id": "ok", "steps": [7]})
+        traces.write_text('{"id": "x\\ud800", "steps": [7, 5]}\n' + good + "\n")
+        report = tmp_path / f"r.{fmt}"
+        out = ["--out", str(report)] if to_file else []
+        argv = ["classify", "--model", str(model_file), "--traces", str(traces), "--format", fmt]
+        assert main([*argv, *out]) == 0
+        captured = capsys.readouterr()
+        assert "errors:1" in captured.err
+        text = report.read_text(encoding="utf-8") if to_file else captured.out
+        if fmt == "csv":
+            assert text.splitlines()[1:] == ["ok,partially_malign,18.75,"]
+        else:
+            error = json.loads(text.splitlines()[0])
+            assert error == {
+                "error": "line 1: trace id 'x\\ud800' is not valid Unicode text", "line": 1
+            }
+
+    @pytest.mark.parametrize("broken", ["--traces", "--model", "--catalog"])
+    def test_an_input_that_cannot_be_opened_leaves_the_old_report(
+        self, tmp_path, model_file, capsys, broken
+    ):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_bytes(default_catalog().to_json())
+        traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": PATTERN_B}])
+        bad = tmp_path / "missing.jsonl"
+        if broken != "--traces":
+            bad = tmp_path / "broken.json"
+            bad.write_text("{broken", encoding="utf-8")
+        inputs = {"--model": model_file, "--traces": traces, "--catalog": catalog, broken: bad}
+        report = tmp_path / "old.json"
+        report.write_bytes(b'{"summary": "an earlier run"}\n')
+        argv = ["classify"] + [arg for flag, path in inputs.items() for arg in (flag, str(path))]
+        assert main([*argv, "--out", str(report)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert report.read_bytes() == b'{"summary": "an earlier run"}\n'
 
     def test_catalog_flag_turns_on_id_validation(self, tmp_path, model_file, capsys):
         traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [999]}])

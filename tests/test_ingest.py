@@ -106,6 +106,26 @@ class TestParseErrors:
         with pytest.raises(UnknownBehaviorError, match=r"99.*'bad'.*step 1"):
             list(parse_traces(lines, catalog))
 
+    def test_every_error_of_a_line_begins_with_its_number_once(self, catalog):
+        lines = jsonl({"id": "a", "steps": [7]}, {"id": "x", "steps": [99]})
+        with pytest.raises(UnknownBehaviorError) as raised:
+            list(parse_traces(lines, catalog))
+        assert str(raised.value) == "line 2: unknown behavior id 99 (trace 'x', step 0)"
+        assert raised.value.line == 2 and raised.value.behavior_id == 99
+        with pytest.raises(TraceFormatError) as raised:
+            list(parse_traces(["", "{nope"], catalog))
+        assert str(raised.value).startswith("line 2: not valid JSON: ")
+        assert raised.value.line == 2
+
+    def test_an_id_that_is_not_unicode_text_is_rejected(self, catalog):
+        # JSON can spell a lone surrogate; UTF-8, and so every report, cannot.
+        lines = ['{"id": "x\\ud800", "steps": [7, 5]}', json.dumps({"id": "ok", "steps": [7]})]
+        with pytest.raises(TraceFormatError) as raised:
+            list(parse_traces(lines, catalog))
+        assert str(raised.value) == "line 1: trace id 'x\\ud800' is not valid Unicode text"
+        error, trace = scan_traces(lines, catalog)
+        assert error == RecordError(1, str(raised.value)) and trace.trace_id == "ok"
+
     def test_duplicate_trace_id(self, catalog):
         lines = jsonl({"id": "a", "steps": [7]}, {"id": "a", "steps": [5]})
         with pytest.raises(TraceFormatError, match="duplicate trace id 'a'"):
@@ -352,7 +372,7 @@ class TestStreamSharedSteps:
         assert second.steps[0] is first.steps[2] and second.steps[2] is first.steps[2]
         assert second.steps[1] == first.steps[0] and second.steps[1] is not first.steps[0]
         (error,) = scan_traces(jsonl({"id": "c", "steps": [7, 5, 99]}), catalog)
-        assert error.reason.startswith("unknown behavior id 99")
+        assert error.reason.startswith("line 1: unknown behavior id 99")
 
     def test_past_the_cap_a_run_is_checked_once(self, monkeypatch):
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)

@@ -141,7 +141,7 @@ def test_classify_writes_the_pinned_report_bytes(tmp_path):
     assert _sha256(csv_report) == CSV_REPORT_SHA256
 
 
-SHARED_JSON_SHA256 = "8cfea4ca17b671c562bd14831f9608d9554de6831f415470203caaa90fa3c83e"
+SHARED_JSON_SHA256 = "8cd2a6f7e054354d2ad163939de080c92378bb83c340b00e5d001f43fcd64a26"
 SHARED_CSV_SHA256 = "1444811f278930c13b25831eed170bb3470dde372765a4feb8d546187c31eec1"
 
 SHARED_STEP_LINES = [
