@@ -215,6 +215,7 @@ def _cmd_add(args) -> int:
     patterns = _load_patterns(args.patterns, catalog)
     with open(args.model, "rb") as fh:
         dfa = deserialize(fh)
+    check_catalog(dfa, catalog)  # where the catalog meets the model, as in classify and export-dot
     dfa = add_pattern(dfa, patterns, catalog)
     _atomic_write(args.model, serialize(dfa))
     _say(args, f"model updated: {_model_summary(dfa)}")

@@ -39,7 +39,7 @@ import json
 import re
 from bisect import bisect_left
 from functools import cached_property
-from typing import IO, Iterable, NamedTuple, Union
+from typing import IO, Iterable, NamedTuple, NoReturn, Union
 
 from .catalog import BehaviorCatalog, _read_json
 from .errors import (
@@ -230,14 +230,15 @@ def add_patterns(
 def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
     """`base` grown by `patterns`, inserted in order; new states are numbered on from base's.
 
-    Each pattern's steps are read once. A step equal to the one before
-    gives the current state its self-loop, unless base or this call has
-    one already; any other step follows its edge or makes a new state.
-    Base is never copied: its edges are found by bisection in its sorted
-    transitions, and only the edges this call adds go in a dict, so the
-    cost is O(pattern * log model) lookups plus one copy and merge of the
-    sorted edges. Growing the empty model, as build_dfa() does, never bisects.
+    Each pattern's steps are read once. A step equal to the one before gives the
+    current state its self-loop, unless base or this call has one already; any other
+    step takes its weight from an id-to-weight dict made once per call (an id the
+    catalog lacks raises here), then follows its edge or makes a new state. Base is
+    never copied: its edges are found by bisection in its sorted transitions, and only
+    new edges go in a dict, so the cost is O(pattern * log model) lookups plus one copy
+    and merge of the sorted edges. Growing the empty model, as build_dfa() does, never bisects.
     """
+    weight_of = {spec.id: spec.weight for spec in catalog.entries}.get
     edges = base.transitions
     searched = base.state_count if edges else 0  # only states below this have edges in base
     added: dict[tuple[int, int], Transition] = {}
@@ -261,11 +262,9 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
                 if key not in added and (state >= searched or _edge_in(edges, key) is None):
                     added[key] = Transition(state, behavior, state, weight)
                 continue
-            try:
-                weight = catalog.weight_of(behavior)
-            except UnknownBehaviorError:
-                context = f"pattern {brief(pattern.trace_id)}"
-                raise UnknownBehaviorError(behavior, context=context) from None
+            weight = weight_of(behavior)
+            if weight is None:
+                raise UnknownBehaviorError(behavior, context=f"pattern {brief(pattern.trace_id)}")
             key = (state, behavior)
             existing = added.get(key)
             if existing is None and state < searched:
@@ -479,7 +478,7 @@ def _model(doc) -> BehaviorDfa:
         raw_transitions = [_transition_hook(t) if type(t) is dict else t for t in raw_transitions]
         for position, raw in enumerate(raw_transitions):
             if type(raw) is not Transition:
-                raise _transition_error(position, raw)
+                _reject_transition(position, raw)
 
     dfa = BehaviorDfa(
         state_count=states,
@@ -519,15 +518,12 @@ def _require_int(value, where: str) -> int:
     return value
 
 
-def _transition_error(position: int, raw) -> ModelFormatError:
-    """The placed error for a transition entry that deserialize() rejected."""
+def _reject_transition(position: int, raw) -> NoReturn:
+    """Raise the placed error for a transition entry that deserialize() rejected."""
     if type(raw) is dict and raw.keys() == _TRANSITION_KEYS:
-        try:
-            for key in _TRANSITION_FIELDS:  # names the first bad field
-                _require_int(raw[key], f'transition {position}: "{key}"')
-        except ModelFormatError as exc:
-            return exc
-    return ModelFormatError(
+        for key in _TRANSITION_FIELDS:  # names the first bad field
+            _require_int(raw[key], f'transition {position}: "{key}"')
+    raise ModelFormatError(
         f"transition {position}: expected an object with keys "
         f"{sorted(_TRANSITION_KEYS)}, got {brief(raw, json.JSONEncoder().iterencode)}"
     )

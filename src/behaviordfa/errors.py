@@ -1,10 +1,11 @@
-"""Exception types shared across the engine.
+"""Exception types shared across the engine, and the one rule for catching them.
 
-Everything derived from EngineError is an input or configuration problem
-and maps to CLI exit code 1. InternalInvariantError deliberately sits
-outside that hierarchy: it signals a broken internal assumption, that
-is a bug, and maps to exit code 2. A hand-edited model file that breaks
-the trie shape is rejected on load as a ModelFormatError.
+Everything derived from EngineError is an input or configuration problem and maps to
+CLI exit code 1; InternalInvariantError, outside that hierarchy, signals a bug and maps
+to exit code 2. A fault is raised where it is found. Besides cli.main(), which reports
+it, a handler only converts a foreign exception at a boundary (decoding, JSON, the OS),
+adds a trace line's number, falls back from a fast path to its exact path, or cleans
+up; none turns one engine error into another or returns an exception object.
 """
 
 from __future__ import annotations

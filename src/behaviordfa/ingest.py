@@ -144,23 +144,19 @@ def _parse_record(line, known, seen_ids, shared):
     if not isinstance(raw_steps, list):
         raise TraceFormatError(f"trace {brief(trace_id)}: 'steps' must be an array")
 
-    # A step is looked up by its entry: an int as itself, a list as its tuple.
-    # A miss (an unseen, bad or unhashable entry) is checked and remembered.
+    # An int entry is looked up as itself, a list as its tuple; a miss is checked and remembered.
     lookup = shared.get
     steps: list[tuple[int, ...]] = []
     grouped = []  # every list entry, for the census below
     try:
         for entry in raw_steps:
             if type(entry) is int:
-                key = entry
+                step = lookup(entry)
             elif type(entry) is list:
                 grouped.append(entry)
                 key = tuple(entry)
+                step = lookup(key)  # TypeError: an element is a list or an object
             else:
-                key = None  # never remembered: always a miss
-            try:
-                step = lookup(key)
-            except TypeError:  # an element is a list or an object
                 step = None
             if step is None:
                 step = key if type(entry) is list else (entry,)
@@ -172,19 +168,18 @@ def _parse_record(line, known, seen_ids, shared):
                     if len(step) == 1:
                         shared[step[0]] = step
             steps.append(step)
-    except EngineError:
-        steps = None
-    # A list's tuple also finds the step it equals, and (True, 2) == (1.0, 2) == (1, 2):
-    # the lookups were exact only if every element of every list is an int. If
-    # not, or a miss failed, the checks run again from step 0 to raise the first error.
-    if steps is None or not _INT.issuperset(map(type, chain.from_iterable(grouped))):
-        for index, entry in enumerate(raw_steps):
-            _check_step(tuple(entry) if type(entry) is list else (entry,), index, trace_id, known)
-        raise InternalInvariantError(f"trace {brief(trace_id)}: census failed, checks passed")
-
-    seen_ids.add(trace_id)
-    # tuple.__new__ skips the named tuple's Python-level constructor.
-    return tuple.__new__(BehaviorTrace, (trace_id, tuple(steps), label))
+        # A list's tuple also finds the step it equals, and (True, 2) == (1.0, 2) == (1, 2):
+        # the lookups were exact only if every element of every list is an int.
+        if _INT.issuperset(map(type, chain.from_iterable(grouped))):
+            seen_ids.add(trace_id)
+            # tuple.__new__ skips the named tuple's Python-level constructor.
+            return tuple.__new__(BehaviorTrace, (trace_id, tuple(steps), label))
+    except (EngineError, TypeError):  # a miss failed, or a list's tuple is unhashable
+        pass
+    # Not exact, or a miss failed: the checks run again from step 0 to raise the first error.
+    for index, entry in enumerate(raw_steps):
+        _check_step(tuple(entry) if type(entry) is list else (entry,), index, trace_id, known)
+    raise InternalInvariantError(f"trace {brief(trace_id)}: census failed, checks passed")
 
 
 def _check_step(step, index, trace_id, known):

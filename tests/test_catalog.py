@@ -156,6 +156,14 @@ class TestLookup:
         assert 7 in catalog
         assert 99 not in catalog
 
+    def test_name_of_an_unknown_id_raises(self, catalog):
+        with pytest.raises(UnknownBehaviorError) as excinfo:
+            catalog.name_of(99)
+        assert excinfo.value.behavior_id == 99
+
+    def test_a_catalog_never_equals_another_type(self):
+        assert (default_catalog() == 5) is False
+
 
 class TestRoundTrip:
     def test_serialize_then_reload_is_identical(self, catalog):

@@ -350,6 +350,16 @@ class TestClassify:
         assert again.match != classify(seed_dfa, make_trace([7])).match
         assert "matched_transitions=(Transition(source=0, behavior=7" in repr(outcome.match)
 
+    def test_a_final_entered_only_by_a_back_edge_is_malign_but_has_no_path(self):
+        # Only a hand-built model has one: validate() rejects the edge 2->1.
+        edges = [Transition(0, 7, 2, 3), Transition(2, 5, 1, 3)]
+        dfa = BehaviorDfa(3, edges, {1}, "0" * 64, 1)
+        outcome = classify(dfa, make_trace([7, 5]))
+        assert outcome.verdict is Verdict.MALIGN
+        with pytest.raises(InternalInvariantError) as raised:
+            outcome.match.matched_transitions
+        assert str(raised.value) == "state 1 is not reachable from state 0"
+
 
 class TestClassifyBatch:
     def test_counts_and_histogram(self, seed_dfa):

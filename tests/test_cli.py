@@ -264,6 +264,20 @@ class TestAdd:
         assert link.is_symlink()
         assert deserialize(real.read_bytes()).pattern_count == 3
 
+    def test_a_failed_rename_leaves_the_model_and_no_temp_file(
+        self, tmp_path, model_file, monkeypatch, capsys
+    ):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        more = write_jsonl(tmp_path / "more.jsonl", [{"id": "stub", "steps": [5, 1]}])
+        before = model_file.read_bytes()
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["add", "--model", str(model_file), "--patterns", str(more)]) == 1
+        assert capsys.readouterr().err == "error: rename refused\n"
+        assert model_file.read_bytes() == before
+        assert list(model_file.parent.glob("*.tmp")) == []
+
     def test_mismatched_catalog_fails_loudly(self, tmp_path, model_file, capsys):
         other = tmp_path / "other-catalog.json"
         other.write_text(

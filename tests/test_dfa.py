@@ -24,6 +24,7 @@ from behaviordfa.dfa import (
 )
 from behaviordfa.errors import (
     CatalogMismatchError,
+    InternalInvariantError,
     ModelFormatError,
     PatternError,
     UnknownBehaviorError,
@@ -202,6 +203,17 @@ class TestAddPattern:
         with pytest.raises(CatalogMismatchError, match="catalog"):
             add_pattern(seed_dfa, make_trace([7]), other)
 
+    def test_a_base_that_loops_on_another_behavior_than_its_entry_is_an_internal_error(
+        self, catalog
+    ):
+        # State 1 is entered on 7 but loops on 5, which validate() flags and growing trips on.
+        base = BehaviorDfa(
+            2, [Transition(0, 7, 1, 3), Transition(1, 5, 1, 3)], {1}, catalog.fingerprint(), 1
+        )
+        with pytest.raises(InternalInvariantError) as raised:
+            add_patterns(base, [make_trace([7, 5])], catalog)
+        assert str(raised.value) == "adjacent runs share behavior 5 at state 1"
+
     def test_original_model_is_untouched(self, catalog, seed_patterns):
         base = build_dfa(seed_patterns[:1], catalog)
         before = table_of(base)
@@ -273,6 +285,10 @@ class TestStep:
 class TestValidate:
     def test_seed_model_is_clean(self, seed_dfa):
         assert validate(seed_dfa) == []
+
+    def test_a_model_with_no_states_has_one_issue(self):
+        dfa = BehaviorDfa(0, (), frozenset(), "0" * 64, 0)
+        assert [issue.kind for issue in validate(dfa)] == ["no-states"]
 
     def test_duplicate_transition_key_flagged(self):
         dfa = BehaviorDfa(
@@ -580,6 +596,13 @@ class TestSerialization:
         doc["comment"] = "hand edited"
         with pytest.raises(ModelFormatError, match="unexpected"):
             deserialize(json.dumps(doc))
+
+    def test_finals_that_are_not_an_array_are_rejected(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["finals"] = 2
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == '"finals" must be an array'
 
     @pytest.mark.parametrize("key", ["from", "on", "to", "weight"])
     @pytest.mark.parametrize(
