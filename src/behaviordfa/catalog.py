@@ -167,19 +167,28 @@ def _entries(doc: list) -> Iterator[BehaviorSpec]:
         yield BehaviorSpec(raw["id"], raw["name"], raw["weight"])
 
 
-def _read_json(source, error: type[Exception], what: str, object_hook=None):
-    """The JSON document in bytes, text or a file of either; failures raise `error`.
+def _read_text(source, error: type[Exception], what: str) -> str:
+    """The text of bytes, text or a file of either; bytes that are not UTF-8 raise `error`.
 
-    `object_hook` is passed on to json.loads().
+    Bytes read from a file are let go as soon as they are decoded.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
         try:
-            source = source.decode("utf-8")
+            return source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"{what} file is not valid UTF-8: {exc}") from exc
+    return source
+
+
+def _read_json(source, error: type[Exception], what: str, object_hook=None):
+    """The JSON document in bytes, text or a file of either; failures raise `error`.
+
+    `object_hook` is passed on to json.loads().
+    """
+    text = _read_text(source, error, what)
     try:
-        return json.loads(source, object_hook=object_hook)
+        return json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise error(f"{what} file is not valid JSON: {exc}") from exc

@@ -13,11 +13,12 @@ state and the denominator is a lookup: the model derives once, per
 state, the weight from the initial state and the nearest final below
 it, whose own weight from the initial state is the denominator. The
 walk therefore tracks only its state, one out-table lookup per step
-but one per run on a self-loop, where the same step object repeats,
-and classify() builds no path: the explanation fields of a result
-(matched_transitions, matched_weight, forward_path, denominator_path)
-are read off the model's tables when a caller reads them, each path by
-one walk up the model's parent links. Results are named tuples that
+but one per run on a self-loop, where the same step object repeats;
+an out table gives the edge's target as an offset from the state, 0
+on a self-loop, and its weight. classify() builds no path: the
+explanation fields of a result (matched_transitions, matched_weight,
+forward_path, denominator_path) are read off the model's tables when a
+caller reads them, each path by one walk up the model's parent links. Results are named tuples that
 carry the model, immutable and compared by their public fields.
 Self-loop traversals consume input but add no weight on either side of
 the ratio, so a behavior repeated eight times scores the same as one
@@ -142,7 +143,8 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     weight wins, ties broken by smallest behavior id. The walk keeps only
     its state: in a trie the edges it took are the path to that state, so
     the result reads them, and their weight, off the model when asked.
-    Self-loops consume a step and add no edge. A self-loop leaves the
+    Each step adds the offset its out-table entry holds to the state;
+    an offset of 0 is a self-loop, which consumes a step and adds no edge. A self-loop leaves the
     state as it was, so the steps after it that are the same object (the
     readers share one tuple per distinct step of a stream, and always
     within a run) are consumed with no lookup: a run costs one lookup
@@ -161,32 +163,32 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
         while consumed < count:
             step = steps[consumed]
             if len(step) == 1:
-                transition = out[state].get(step[0])
+                edge = out[state].get(step[0])
             else:
                 edges = out[state]
-                transition = None
+                edge = chosen = None
                 for behavior in step:
                     candidate = edges.get(behavior)
                     if candidate is None:
                         continue
                     # Largest weight wins; the lower behavior id settles ties.
-                    if transition is None or candidate.weight > transition.weight or (
-                        candidate.weight == transition.weight and behavior < transition.behavior
+                    if edge is None or candidate[1] > edge[1] or (
+                        candidate[1] == edge[1] and behavior < chosen
                     ):
-                        transition = candidate
-            if transition is None:
+                        edge, chosen = candidate, behavior
+            if edge is None:
                 diverged = True
                 break
             consumed += 1
-            target = transition[2]
-            if target == state:
-                # A self-loop leaves the state and its out table as they
-                # were, so each following step that is this same object
-                # takes the same loop again.
+            offset = edge[0]
+            if not offset:
+                # Offset 0 is a self-loop: it leaves the state and its out
+                # table as they were, so each following step that is this
+                # same object takes the same loop again.
                 while consumed < count and steps[consumed] is step:
                     consumed += 1
                 continue
-            state = target
+            state += offset
             if state in finals:
                 reached = True
                 break

@@ -127,14 +127,24 @@ def _load_catalog_arg(path: str | None) -> BehaviorCatalog:
 
 
 def _load_patterns(path: str, catalog: BehaviorCatalog):
+    """The patterns of a pattern file; a benign-labeled one is refused as soon as it is read."""
+    line_no = 0
+
+    def counted(lines):  # keeps line_no at the last line handed to the reader
+        nonlocal line_no
+        for line_no, line in enumerate(lines, start=1):
+            yield line
+
+    patterns = []
     with open(path, "rb") as fh:
-        patterns = list(parse_traces(fh, catalog))
-    for trace in patterns:
-        if trace.label == "benign":
-            raise PatternError(
-                f"pattern {brief(trace.trace_id)} is labeled benign; "
-                "models are built from malicious sequences only"
-            )
+        # The reader yields each trace as soon as its line is read.
+        for trace in parse_traces(counted(fh), catalog):
+            if trace.label == "benign":
+                raise PatternError(
+                    f"line {line_no}: pattern {brief(trace.trace_id)} is labeled benign; "
+                    "models are built from malicious sequences only"
+                )
+            patterns.append(trace)
     if not patterns:
         raise PatternError("no patterns in file")
     return patterns

@@ -24,13 +24,19 @@ numbering. Growing never copies the base model: its edges are found by
 bisection in its sorted transitions, so an add costs O(patterns * log
 model) lookups plus one C-level copy and merge of the sorted edges,
 once per call however large the batch. The one per-state lookup
-index is built on first use, so build and add never pay for it.
+index is built on first use, so build and add never pay for it. Its out
+tables map a behavior to the edge's (target offset, weight) rather than
+to the edge, so the many states whose edges read the same that way, most
+of them the inner states of a chain, whose one edge goes to the next
+state, share one table.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
-writes it from string templates. deserialize() has the JSON parser make
-each well-formed transition object a Transition as it goes, so the
-transitions are never held twice, then checks the fields and the trie
-shape. A rejected file's error is worded from a second, plain parse.
+writes it from string templates. deserialize() decodes the file to text,
+letting its bytes go, then has the JSON parser make each well-formed
+transition object a Transition as it goes, so neither the file nor the
+transitions are ever held twice; then it checks the fields and the trie
+shape. A rejected file's error is worded from a second, plain parse of
+the same text.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ import json
 import re
 from bisect import bisect_left
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, NamedTuple, NoReturn, Union
 
-from .catalog import BehaviorCatalog, _read_json
+from .catalog import BehaviorCatalog, _read_json, _read_text
 from .errors import (
     CatalogMismatchError,
     InternalInvariantError,
@@ -124,7 +131,11 @@ class BehaviorDfa(_DfaFields):
     def _tables(self) -> tuple[list, list, list, list]:
         """The one per-state index (out, parent, prefix, nearest), indexed by state id.
 
-        out maps each behavior to the transition out of the state on it,
+        out[s] maps each behavior to (target - s, weight) for the transition
+        out of s on it: the offset is 0 for a self-loop and negative only
+        for a back edge. Every state whose edges read the same in this form
+        shares one dict, and most do, since growing numbers each new chain
+        of states in order: a state inside a chain has one edge, to s + 1.
         parent is the forward transition into the state (None for state 0),
         prefix the weight from the initial state, and nearest the final at
         or below the state with the least (prefix, id), or None when no
@@ -132,16 +143,32 @@ class BehaviorDfa(_DfaFields):
         parent and prefix, so parent chains always descend and the cost
         from a state on to its nearest final is prefix[final] - prefix[state].
         A transition with an end outside the model, which only an
-        unvalidated model has, is left out.
+        unvalidated model has, is left out; for a repeated (source,
+        behavior), the last transition wins.
         """
         n = self.state_count
-        out: list[dict[int, Transition]] = [{} for _ in range(n)]
+        out: list = [{}] * n  # a state with no edges keeps this one empty table
         parent: list = [None] * n
         prefix = [0] * n
-        for t in self.transitions:  # ascending sources: each prefix is set before a child reads it
+        shared: dict = {}  # a state's edges as a flat (behavior, offset, weight, ...) row -> table
+        row = ()
+        at = 0  # the state whose edges `row` holds
+        # Ascending sources: each prefix is set before a child reads it. The
+        # last item, of source n, settles the last state's row and is no edge.
+        for t in chain(self.transitions, ((n, 0, n, 0),)):
             source, behavior, target, weight = t
+            if source != at:
+                if row:
+                    table = shared.get(row)
+                    if table is None:
+                        table = shared[row] = {
+                            row[i]: (row[i + 1], row[i + 2]) for i in range(0, len(row), 3)
+                        }
+                    out[at] = table
+                    row = ()
+                at = source
             if 0 <= source < n and 0 <= target < n:
-                out[source][behavior] = t
+                row += (behavior, target - source, weight)
                 if source < target:
                     parent[target] = t
                     prefix[target] = prefix[source] + weight
@@ -157,9 +184,17 @@ class BehaviorDfa(_DfaFields):
         return out, parent, prefix, nearest
 
     def step(self, state: int, behavior: int) -> Transition | None:
-        """The unique transition out of `state` on `behavior`, if defined."""
+        """The unique transition out of `state` on `behavior`, if defined.
+
+        The out table gives its offset and weight; the stored Transition is
+        then found by bisection in the sorted transitions.
+        """
         if 0 <= state < self.state_count:
-            return self._tables[0][state].get(behavior)
+            edge = self._tables[0][state].get(behavior)
+            if edge is not None:
+                offset, weight = edge
+                edges = self.transitions
+                return edges[bisect_left(edges, (state, behavior, state + offset, weight))]
         return None
 
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
@@ -260,7 +295,8 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
             if behavior == last:
                 key = (state, behavior)
                 if key not in added and (state >= searched or _edge_in(edges, key) is None):
-                    added[key] = Transition(state, behavior, state, weight)
+                    # tuple.__new__ skips the named tuple's Python-level constructor.
+                    added[key] = tuple.__new__(Transition, (state, behavior, state, weight))
                 continue
             weight = weight_of(behavior)
             if weight is None:
@@ -272,7 +308,7 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
             if existing is None:
                 nxt = count
                 count += 1
-                added[key] = Transition(state, behavior, nxt, weight)
+                added[key] = tuple.__new__(Transition, (state, behavior, nxt, weight))
             else:
                 nxt = existing.target
                 if nxt == state:
@@ -417,20 +453,22 @@ def _array(items: list[str]) -> str:
 def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     """Load a serialized model, verifying format and structural invariants.
 
-    The JSON parser makes each well-formed transition object a Transition
-    (_transition_hook), so no parse tree of the transitions is built to be
-    copied. A rejected file is parsed again without the hook, and its error
-    worded from that plain parse names its place, e.g. `finals[3]`, and
-    shows a value as the file spells it, key order included.
+    The model is decoded to text first, and the bytes read from a file go
+    before the parse, so the bytes and the text are never held together
+    with the parsed model. The JSON parser makes each well-formed
+    transition object a Transition (_transition_hook), so no parse tree
+    of the transitions is built to be copied. A rejected file is parsed
+    again from the same text without the hook, and its error worded from
+    that plain parse names its place, e.g. `finals[3]`, and shows a value
+    as the file spells it, key order included.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    doc = _read_json(source, ModelFormatError, "model", _transition_hook)
+    text = _read_text(source, ModelFormatError, "model")
+    doc = _read_json(text, ModelFormatError, "model", _transition_hook)
     try:
         return _model(doc)
     except ModelFormatError:
         pass  # rejected: worded below from a plain parse, with no hooked error chained to it
-    return _model(_read_json(source, ModelFormatError, "model"))
+    return _model(_read_json(text, ModelFormatError, "model"))
 
 
 def _model(doc) -> BehaviorDfa:

@@ -108,9 +108,25 @@ class TestBuild:
         code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: pattern '" + "b" * 56 + "... is labeled benign; "
+            "error: line 1: pattern '" + "b" * 56 + "... is labeled benign; "
             "models are built from malicious sequences only\n"
         )
+
+    def test_a_benign_pattern_fails_on_its_line_before_the_rest_is_read(self, tmp_path, capsys):
+        patterns = tmp_path / "p.jsonl"
+        patterns.write_text(
+            '{"id": "m", "steps": [7, 5]}\n'
+            '{"id": "x", "steps": [7], "label": "benign"}\n'
+            "not json\n",  # never reached: the benign pattern on line 2 stops the read
+            encoding="utf-8",
+        )
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: pattern 'x' is labeled benign; "
+            "models are built from malicious sequences only\n"
+        )
+        assert not (tmp_path / "m.json").exists()
 
     def test_a_pattern_line_nested_too_deep_fails(self, tmp_path, capsys):
         patterns = tmp_path / "p.jsonl"

@@ -3,14 +3,19 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from behaviordfa.classify import match_prefix
 from behaviordfa.dfa import (
     BehaviorDfa,
     Transition,
@@ -33,6 +38,7 @@ from behaviordfa import catalog as catalog_module
 from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec
 
 from helpers import PATTERN_A, PATTERN_B, make_trace
+from oracle import random_patterns
 
 # The full expected transition table of the seed model, keyed by
 # (source state, behavior) -> (target state, weight).
@@ -249,6 +255,9 @@ class TestStep:
         assert dfa.step(0, 1) is inside
         assert dfa.step(0, 2) is None
         assert dfa.path_from_initial(1) == (inside,)
+        assert dfa._tables[0][0] == {1: (1, 2)}
+        walk = match_prefix(dfa, make_trace([2]))
+        assert (walk.end_state, walk.consumed_steps, walk.diverged) == (0, 0, True)
 
     def test_a_back_edge_is_no_parent_link(self):
         # Only a hand-built model has one: validate() rejects the edge 2->1.
@@ -280,6 +289,87 @@ class TestStep:
         assert record["matched_behaviors"] == [7] and record["nearest_final_state"] == 2
         assert record["denominator_path_behaviors"] == [7, 5]
         assert record["match_percentage"] == "50"
+
+
+def offset_tables(dfa: BehaviorDfa) -> list[dict]:
+    """out[s] as the transition list spells it: behavior -> (target - s, weight)."""
+    out: list[dict] = [{} for _ in range(dfa.state_count)]
+    for t in dfa.transitions:
+        out[t.source][t.behavior] = (t.target - t.source, t.weight)
+    return out
+
+
+def seeded_patterns(catalog):
+    """300 patterns of 5 to 40 uniform random steps: a model of about 5,000 states."""
+    rng = random.Random(20)
+    ids = [spec.id for spec in catalog.entries]
+    return [
+        make_trace([rng.choice(ids) for _ in range(rng.randint(5, 40))], trace_id=f"p{i}")
+        for i in range(300)
+    ]
+
+
+class TestOutTables:
+    def test_the_seed_models_tables_hold_each_edges_offset_and_weight(self, seed_dfa):
+        assert seed_dfa._tables[0] == offset_tables(seed_dfa)
+        # q10 loops on 1 and the chain q1 -> q2 -> q3 steps by one state each.
+        assert seed_dfa._tables[0][10] == {1: (0, 2)}
+        assert seed_dfa._tables[0][1] == {5: (1, 3)}
+
+    # 150 examples: each is a model of up to five patterns, grown in one or two batches.
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_random_models_tables_hold_each_edges_offset_and_weight(self, catalog, rng, cut):
+        patterns = random_patterns(rng, (1, 5, 7, 11))
+        dfa = build_dfa(patterns[:cut], catalog)
+        if patterns[cut:]:
+            dfa = add_patterns(dfa, patterns[cut:], catalog)
+        assert dfa._tables[0] == offset_tables(dfa)
+
+    def test_states_whose_edges_read_the_same_share_one_table(self, catalog):
+        dfa = build_dfa(seeded_patterns(catalog), catalog)
+        out = dfa._tables[0]
+        assert out == offset_tables(dfa)
+        # Most states sit inside a chain of new states, with one edge to the next state.
+        assert len({id(table) for table in out}) * 10 < dfa.state_count
+
+    def test_loading_a_model_holds_its_text_once(self, catalog, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(serialize(build_dfa(seeded_patterns(catalog), catalog)))
+        size = path.stat().st_size
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with open(path, "rb") as fh:
+                dfa = deserialize(fh)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert dfa.state_count > 5000
+        # Above the model it keeps, the load holds the text and little else, never
+        # the file's bytes beside it: holding both read about 2.0 times the size.
+        assert peak - kept < 1.6 * size
+
+    def test_a_back_edge_is_followed(self):
+        # Only a hand-built model has one: validate() rejects the edge 2->1.
+        edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2),
+                 Transition(2, 11, 3, 5)]
+        dfa = BehaviorDfa(4, edges, {3}, "0" * 64, 1)
+        assert dfa._tables[0][2] == {1: (-1, 2), 11: (1, 5)}
+        looped = match_prefix(dfa, make_trace([7, 5, 1, 5, 1]))
+        assert (looped.end_state, looped.consumed_steps, looped.diverged) == (1, 5, False)
+        reached = match_prefix(dfa, make_trace([7, 5, 1, 5, 11]))
+        assert (reached.end_state, reached.reached_final) == (3, True)
+
+    def test_of_two_edges_on_one_behavior_the_last_wins(self):
+        # Only a hand-built model has two: validate() flags them as non-deterministic.
+        first, last = Transition(0, 7, 1, 3), Transition(0, 7, 2, 4)
+        dfa = BehaviorDfa(3, (last, first), frozenset({1, 2}), "0" * 64, 1)
+        assert dfa.step(0, 7) is dfa.transitions[-1] == last
+        assert match_prefix(dfa, make_trace([7])).end_state == 2
 
 
 class TestValidate:
