@@ -102,13 +102,6 @@ class BehaviorCatalog:
         """All entries, sorted by id."""
         return tuple(self._by_id[i] for i in sorted(self._by_id))
 
-    def weight_of(self, behavior_id: int) -> int:
-        """Risk weight of a behavior; raises UnknownBehaviorError if absent."""
-        spec = self._by_id.get(behavior_id)
-        if spec is None:
-            raise UnknownBehaviorError(behavior_id)
-        return spec.weight
-
     def name_of(self, behavior_id: int) -> str:
         spec = self._by_id.get(behavior_id)
         if spec is None:

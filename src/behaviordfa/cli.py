@@ -20,13 +20,11 @@ from contextlib import nullcontext
 
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
-from .dfa import add_patterns, build_dfa, check_catalog, deserialize, export_dot, serialize
-from .errors import EngineError, InternalInvariantError, PatternError, brief
+from .dfa import build_dfa, check_catalog, check_pattern, deserialize, export_dot, serialize
+# `add` grows the model once for its whole batch; bench/tracing.py times it as cli.add_pattern.
+from .dfa import add_patterns as add_pattern
+from .errors import EngineError, InternalInvariantError, PatternError
 from .ingest import parse_traces, scan_traces
-
-# `add` grows the model once for its whole batch. The step keeps the name
-# add_pattern here because bench/tracing.py times it as cli.add_pattern.
-add_pattern = add_patterns
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,23 +125,15 @@ def _load_catalog_arg(path: str | None) -> BehaviorCatalog:
 
 
 def _load_patterns(path: str, catalog: BehaviorCatalog):
-    """The patterns of a pattern file; a benign-labeled one is refused as soon as it is read."""
-    line_no = 0
-
-    def counted(lines):  # keeps line_no at the last line handed to the reader
-        nonlocal line_no
-        for line_no, line in enumerate(lines, start=1):
-            yield line
-
+    """The patterns of a pattern file; each is checked by check_pattern() as it is read."""
     patterns = []
     with open(path, "rb") as fh:
-        # The reader yields each trace as soon as its line is read.
-        for trace in parse_traces(counted(fh), catalog):
-            if trace.label == "benign":
-                raise PatternError(
-                    f"line {line_no}: pattern {brief(trace.trace_id)} is labeled benign; "
-                    "models are built from malicious sequences only"
-                )
+        traces = parse_traces(fh, catalog)  # yields each trace as soon as its line is read
+        for trace in traces:
+            try:
+                check_pattern(trace)
+            except PatternError as exc:
+                traces.throw(exc)  # the reader names it by its line and raises it
             patterns.append(trace)
     if not patterns:
         raise PatternError("no patterns in file")

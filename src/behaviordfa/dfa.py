@@ -105,9 +105,9 @@ class BehaviorDfa(_DfaFields):
     check. Lookups rely on the trie shape that validate() checks:
     forward transitions go to higher state ids, and every state but the
     initial one has exactly one incoming forward transition. The one
-    lookup index, _tables, holds every per-state fact that step(), the
-    prefix walk and the nearest-final lookup read; it is built on first use
-    and is no field: equality, hash and repr go by the five fields.
+    lookup index, _tables, holds every per-state fact that the prefix walk
+    and the nearest-final lookup read; it is built on first use and is no
+    field: equality, hash and repr go by the five fields.
     """
 
     def __new__(
@@ -183,20 +183,6 @@ class BehaviorDfa(_DfaFields):
                     nearest[t.source] = final
         return out, parent, prefix, nearest
 
-    def step(self, state: int, behavior: int) -> Transition | None:
-        """The unique transition out of `state` on `behavior`, if defined.
-
-        The out table gives its offset and weight; the stored Transition is
-        then found by bisection in the sorted transitions.
-        """
-        if 0 <= state < self.state_count:
-            edge = self._tables[0][state].get(behavior)
-            if edge is not None:
-                offset, weight = edge
-                edges = self.transitions
-                return edges[bisect_left(edges, (state, behavior, state + offset, weight))]
-        return None
-
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
         """The unique non-self-loop path from the initial state to `state`."""
         return self._path(0, state)
@@ -219,9 +205,8 @@ class BehaviorDfa(_DfaFields):
 def build_dfa(patterns: Iterable[BehaviorTrace], catalog: BehaviorCatalog) -> BehaviorDfa:
     """Build the automaton from known-malicious sequences.
 
-    Patterns must be non-empty and hold exactly one behavior per step.
-    State numbering is deterministic: 0 is initial, then states in order
-    of first creation while inserting patterns in input order.
+    Every pattern must pass check_pattern(). State numbering is deterministic:
+    0 is initial, then states in order of first creation, patterns in input order.
     """
     pats = list(patterns)
     if not pats:
@@ -238,6 +223,23 @@ def check_catalog(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> None:
             f"supplied catalog is {supplied[:12]}...; re-run with the original catalog "
             "or rebuild the model"
         )
+
+
+def check_pattern(pattern: BehaviorTrace) -> None:
+    """Raise PatternError unless `pattern` can grow a model: not benign, one id in each step."""
+    if pattern.label == "benign":
+        raise PatternError(
+            f"pattern {brief(pattern.trace_id)} is labeled benign; "
+            "models are built from malicious sequences only"
+        )
+    if set(map(len, pattern.steps)) != {1}:  # a step not of one id, or no step at all
+        for index, step in enumerate(pattern.steps):
+            if len(step) != 1:
+                raise PatternError(
+                    f"pattern {brief(pattern.trace_id)}: step {index} holds "
+                    f"{len(step)} behaviors; patterns must use single-behavior steps"
+                )
+        raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
 
 
 def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatalog) -> BehaviorDfa:
@@ -265,13 +267,13 @@ def add_patterns(
 def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
     """`base` grown by `patterns`, inserted in order; new states are numbered on from base's.
 
-    Each pattern's steps are read once. A step equal to the one before gives the
-    current state its self-loop, unless base or this call has one already; any other
-    step takes its weight from an id-to-weight dict made once per call (an id the
-    catalog lacks raises here), then follows its edge or makes a new state. Base is
-    never copied: its edges are found by bisection in its sorted transitions, and only
-    new edges go in a dict, so the cost is O(pattern * log model) lookups plus one copy
-    and merge of the sorted edges. Growing the empty model, as build_dfa() does, never bisects.
+    Each pattern passes check_pattern(), then its steps are read once. A step equal to
+    the one before gives the current state its self-loop, unless base or this call has
+    one already; any other step takes its weight from an id-to-weight dict made once per
+    call (an id the catalog lacks raises here), then follows its edge or makes a new
+    state. Base is never copied: its edges are found by bisection in its sorted edges,
+    and only new edges go in a dict, so the cost is O(pattern * log model) lookups plus
+    one copy and merge of the sorted edges. Growing the empty model never bisects.
     """
     weight_of = {spec.id: spec.weight for spec in catalog.entries}.get
     edges = base.transitions
@@ -280,18 +282,10 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
     finals = set(base.finals)
     count = base.state_count
     for pattern in patterns:
-        steps = pattern.steps
-        if set(map(len, steps)) != {1}:  # checked before any id is looked up
-            for index, step in enumerate(steps):
-                if len(step) != 1:
-                    raise PatternError(
-                        f"pattern {brief(pattern.trace_id)}: step {index} holds "
-                        f"{len(step)} behaviors; patterns must use single-behavior steps"
-                    )
-            raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
+        check_pattern(pattern)  # before any of its ids is looked up
         state = 0
         last = None
-        for (behavior,) in steps:
+        for (behavior,) in pattern.steps:
             if behavior == last:
                 key = (state, behavior)
                 if key not in added and (state >= searched or _edge_in(edges, key) is None):

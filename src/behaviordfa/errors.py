@@ -4,8 +4,9 @@ Everything derived from EngineError is an input or configuration problem and map
 CLI exit code 1; InternalInvariantError, outside that hierarchy, signals a bug and maps
 to exit code 2. A fault is raised where it is found. Besides cli.main(), which reports
 it, a handler only converts a foreign exception at a boundary (decoding, JSON, the OS),
-adds a trace line's number, falls back from a fast path to its exact path, or cleans
-up; none turns one engine error into another or returns an exception object.
+adds a trace line's number, throws a refused trace's error into the reader that numbers
+its line, falls back from a fast path to its exact path, or cleans up; none turns one
+engine error into another or returns an exception object.
 """
 
 from __future__ import annotations

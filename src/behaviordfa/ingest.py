@@ -73,7 +73,8 @@ def parse_traces(
     ``source`` is any iterable of lines, str or UTF-8 bytes (an open file
     works). Traces are yielded as soon as their line is read, in input order;
     a blank line is skipped, but counted. With a catalog, every behavior id
-    must resolve in it. The error's message begins ``line N: ``; its ``line`` is N.
+    must resolve in it. The error's message begins ``line N: ``; its ``line`` is N. An
+    EngineError thrown in after a trace (``traces.throw(exc)``) is named by its line too.
     """
     return _iter_records(source, catalog, strict=True)
 
@@ -85,7 +86,8 @@ def scan_traces(
     """Error-tolerant variant of parse_traces().
 
     A bad line, whatever its fault, comes out in its place as a RecordError of its
-    number and parse_traces()'s message, so one bad line never aborts a batch.
+    number and parse_traces()'s message, so one bad line never aborts a batch; for an
+    EngineError thrown in after a trace, ``throw()`` returns its RecordError and goes on.
     """
     return _iter_records(source, catalog, strict=False)
 
@@ -97,14 +99,14 @@ def _iter_records(source, catalog, strict):
     for line_no, line in enumerate(source, start=1):
         try:
             item = _parse_record(line, known, seen_ids, shared)
+            if item is not None:
+                yield item  # a caller that refuses it throws its EngineError in here
         except EngineError as exc:  # named here, the one place that knows the line
             exc.args = (f"line {line_no}: {exc}",)
             exc.line = line_no
             if strict:
                 raise
-            item = RecordError(line_no, str(exc))
-        if item is not None:
-            yield item
+            yield RecordError(line_no, str(exc))
 
 
 def _parse_record(line, known, seen_ids, shared):

@@ -181,17 +181,16 @@ def oracle_grow(base: BehaviorDfa, patterns, catalog) -> BehaviorDfa:
 
     Each pattern is flattened, then compressed into runs, then walked run by run.
     """
+    weights = {spec.id: spec.weight for spec in catalog.entries}
     transitions = {(t.source, t.behavior): t for t in base.transitions}
     finals = set(base.finals)
     count = base.state_count
     for pattern in patterns:
         state = 0
         for behavior, length in compress_runs(flatten_pattern(pattern)):
-            try:
-                weight = catalog.weight_of(behavior)
-            except UnknownBehaviorError:
-                context = f"pattern {pattern.trace_id!r}"
-                raise UnknownBehaviorError(behavior, context=context) from None
+            if behavior not in weights:
+                raise UnknownBehaviorError(behavior, context=f"pattern {pattern.trace_id!r}")
+            weight = weights[behavior]
             key = (state, behavior)
             existing = transitions.get(key)
             if existing is None:

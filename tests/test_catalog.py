@@ -21,14 +21,8 @@ def load(entries):
 
 class TestDefaultCatalog:
     def test_stock_weights(self, catalog):
-        assert catalog.weight_of(7) == 3
-        assert catalog.weight_of(5) == 3
-        assert catalog.weight_of(1) == 2
-        assert catalog.weight_of(3) == 3
-        assert catalog.weight_of(11) == 5
-        assert catalog.weight_of(2) == 1
-        assert catalog.weight_of(4) == 4
-        assert catalog.weight_of(6) == 4
+        weights = {s.id: s.weight for s in catalog.entries}
+        assert weights == {1: 2, 2: 1, 3: 3, 4: 4, 5: 3, 6: 4, 7: 3, 11: 5}
 
     def test_stock_names(self, catalog):
         assert catalog.name_of(7) == "Add Event Handler"
@@ -41,7 +35,7 @@ class TestDefaultCatalog:
         assert all(catalog.name_of(s.id) == s.name for s in specs)
 
     def test_every_weight_is_at_least_one(self, catalog):
-        assert all(catalog.weight_of(s.id) >= 1 for s in catalog.entries)
+        assert all(s.weight >= 1 for s in catalog.entries)
 
 
 class TestLoadCatalog:
@@ -49,8 +43,9 @@ class TestLoadCatalog:
         cat = load(
             [entry(1, "Find DOM Element(s)", 2), entry(11, "Send Data", 5)]
         )
-        assert cat.weight_of(1) == 2
-        assert cat.weight_of(11) == 5
+        assert cat.entries == (
+            BehaviorSpec(1, "Find DOM Element(s)", 2), BehaviorSpec(11, "Send Data", 5)
+        )
 
     def test_accepts_file_objects(self):
         data = json.dumps([entry(0, "Noop", 1)]).encode("utf-8")
@@ -148,9 +143,9 @@ class TestConstructor:
 class TestLookup:
     def test_unknown_id_error_carries_the_id(self, catalog):
         with pytest.raises(UnknownBehaviorError) as excinfo:
-            catalog.weight_of(99)
+            catalog.name_of(99)
         assert excinfo.value.behavior_id == 99
-        assert "99" in str(excinfo.value)
+        assert str(excinfo.value) == "unknown behavior id 99"
 
     def test_contains(self, catalog):
         assert 7 in catalog

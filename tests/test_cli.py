@@ -68,6 +68,20 @@ def model_file(tmp_path, pattern_file):
     return path
 
 
+# Kinds of pattern line no model may grow by: the line, and the fault its error names.
+BAD_PATTERN_LINES = {
+    "empty": ('{"id": "x", "steps": []}', "pattern 'x' is empty"),
+    "grouped": (
+        '{"id": "x", "steps": [[7, 5]]}',
+        "pattern 'x': step 0 holds 2 behaviors; patterns must use single-behavior steps",
+    ),
+    "benign": (
+        '{"id": "x", "steps": [7], "label": "benign"}',
+        "pattern 'x' is labeled benign; models are built from malicious sequences only",
+    ),
+}
+
+
 class TestBuild:
     def test_build_writes_a_model_and_prints_a_summary(self, tmp_path, pattern_file, capsys):
         out = tmp_path / "model.json"
@@ -127,6 +141,26 @@ class TestBuild:
             "models are built from malicious sequences only\n"
         )
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind", ["empty", "grouped"])  # benign: the test above
+    def test_a_bad_pattern_fails_naming_its_line(self, tmp_path, capsys, kind):
+        line2, fault = BAD_PATTERN_LINES[kind]
+        patterns = tmp_path / "p.jsonl"
+        patterns.write_text('{"id": "m", "steps": [7, 5]}\n' + line2 + "\n", encoding="utf-8")
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: line 2: {fault}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_the_first_bad_pattern_line_is_the_one_reported(self, tmp_path, capsys):
+        patterns = write_jsonl(
+            tmp_path / "p.jsonl",
+            [{"id": "m", "steps": [7]}, {"id": "g", "steps": [[7, 5]]},
+             {"id": "b", "steps": [7], "label": "benign"}],
+        )
+        code = main(["build", "--patterns", str(patterns), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 2: pattern 'g': step 0 holds 2 ")
 
     def test_a_pattern_line_nested_too_deep_fails(self, tmp_path, capsys):
         patterns = tmp_path / "p.jsonl"
@@ -314,6 +348,11 @@ class TestAdd:
         [
             pytest.param(['{"id": "x", "steps": [7]}', "{broken"], "line 2", id="malformed"),
             pytest.param(['{"id": "x", "steps": [7], "label": "benign"}'], "'x'", id="benign"),
+            *(
+                pytest.param(['{"id": "m", "steps": [7]}', line2], f"error: line 2: {fault}\n",
+                             id=f"line-2-{kind}")
+                for kind, (line2, fault) in BAD_PATTERN_LINES.items()
+            ),
         ],
     )
     def test_bad_pattern_file_fails_and_leaves_the_model_alone(

@@ -120,8 +120,9 @@ class TestBuild:
         assert table_of(short) == table_of(long)
 
     def test_weights_are_frozen_from_the_catalog(self, seed_dfa, catalog):
+        weights = {spec.id: spec.weight for spec in catalog.entries}
         for t in seed_dfa.transitions:
-            assert t.weight == catalog.weight_of(t.behavior)
+            assert t.weight == weights[t.behavior]
         assert seed_dfa.catalog_fingerprint == catalog.fingerprint()
 
     def test_empty_pattern_set_rejected(self, catalog):
@@ -141,6 +142,16 @@ class TestBuild:
         with pytest.raises(PatternError, match=r"'both': step 1 holds 2 behaviors"):
             build_dfa([pattern], catalog)
         with pytest.raises(PatternError, match=r"'both': step 1 holds 2 behaviors"):
+            add_patterns(seed_dfa, [pattern], catalog)
+
+    def test_a_benign_pattern_is_refused_by_build_and_add(self, catalog, seed_dfa):
+        pattern = make_trace([7], "calm", label="benign")
+        expected = (
+            r"^pattern 'calm' is labeled benign; models are built from malicious sequences only$"
+        )
+        with pytest.raises(PatternError, match=expected):
+            build_dfa([pattern], catalog)
+        with pytest.raises(PatternError, match=expected):
             add_patterns(seed_dfa, [pattern], catalog)
 
     def test_unknown_behavior_rejected(self, catalog):
@@ -229,31 +240,21 @@ class TestAddPattern:
     def test_lookup_indexes_are_built_on_first_use(self, catalog, seed_patterns):
         grown = add_pattern(build_dfa(seed_patterns[:1], catalog), seed_patterns[1], catalog)
         assert "_tables" not in vars(grown)
-        assert grown.step(0, 5) == Transition(0, 5, 7, 3)
-        assert grown.step(0, 1) is None
+        assert grown._tables[0][0] == {7: (1, 3), 5: (7, 3)}
         assert "_tables" in vars(grown)
 
 
-class TestStep:
+class TestIndex:
     def test_every_transition_is_found_from_its_source(self, seed_dfa):
+        out = seed_dfa._tables[0]
         for t in seed_dfa.transitions:
-            assert seed_dfa.step(t.source, t.behavior) is t
-        assert seed_dfa.step(3, 5) is None
-
-    def test_a_state_outside_the_model_has_no_transitions(self, seed_dfa):
-        # State 10 has a self-loop on 1 and state 0 edges on 5 and 7: a
-        # negative id must not wrap round to the last state's table.
-        n = seed_dfa.state_count
-        for state in (-1, -n, n, n + 1):
-            for behavior in (1, 5, 7):
-                assert seed_dfa.step(state, behavior) is None
+            assert out[t.source][t.behavior] == (t.target - t.source, t.weight)
+        assert 5 not in out[3]
 
     def test_a_transition_leaving_the_model_is_not_indexed(self):
         # Only a hand-built model has one; validate() rejects it on load.
         inside, outside = Transition(0, 1, 1, 2), Transition(0, 2, 9, 1)
         dfa = BehaviorDfa(2, (inside, outside), frozenset({1}), "0" * 64, 1)
-        assert dfa.step(0, 1) is inside
-        assert dfa.step(0, 2) is None
         assert dfa.path_from_initial(1) == (inside,)
         assert dfa._tables[0][0] == {1: (1, 2)}
         walk = match_prefix(dfa, make_trace([2]))
@@ -368,7 +369,8 @@ class TestOutTables:
         # Only a hand-built model has two: validate() flags them as non-deterministic.
         first, last = Transition(0, 7, 1, 3), Transition(0, 7, 2, 4)
         dfa = BehaviorDfa(3, (last, first), frozenset({1, 2}), "0" * 64, 1)
-        assert dfa.step(0, 7) is dfa.transitions[-1] == last
+        assert dfa.transitions[-1] == last
+        assert dfa._tables[0][0] == {7: (2, 4)}
         assert match_prefix(dfa, make_trace([7])).end_state == 2
 
 
@@ -693,6 +695,13 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as raised:
             deserialize(json.dumps(doc))
         assert str(raised.value) == '"finals" must be an array'
+
+    def test_transitions_that_are_not_an_array_are_rejected(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["transitions"] = 5
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == '"transitions" must be an array'
 
     @pytest.mark.parametrize("key", ["from", "on", "to", "weight"])
     @pytest.mark.parametrize(

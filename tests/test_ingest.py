@@ -423,6 +423,27 @@ class TestScanTraces:
         assert bad == [4, 8]
 
 
+class TestThrownErrors:
+    """A caller refuses a trace by throwing its error into the reader, which names the line."""
+
+    LINES = jsonl({"id": "a", "steps": [7]}, {"id": "b", "steps": [5]}, {"id": "c", "steps": [1]})
+
+    def test_a_strict_parse_raises_it_named_by_the_traces_line(self, catalog):
+        traces = parse_traces(self.LINES, catalog)
+        assert [next(traces).trace_id, next(traces).trace_id] == ["a", "b"]
+        with pytest.raises(PatternError) as raised:
+            traces.throw(PatternError("x"))
+        assert str(raised.value) == "line 2: x"
+        assert raised.value.line == 2
+        assert list(traces) == []
+
+    def test_a_scan_yields_it_as_a_record_error_and_goes_on(self, catalog):
+        traces = scan_traces(self.LINES, catalog)
+        assert [next(traces).trace_id, next(traces).trace_id] == ["a", "b"]
+        assert traces.throw(PatternError("x")) == RecordError(2, "line 2: x")
+        assert [t.trace_id for t in traces] == ["c"]
+
+
 NOT_UTF8 = (
     "line 2: not valid UTF-8: "
     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
