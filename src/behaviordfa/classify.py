@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
@@ -337,6 +338,9 @@ class BatchSummary:
         return line
 
     def as_dict(self) -> dict:
+        # Keys are distinct, so sorting them alone gives the items' order. The floor
+        # of 100 * p orders all but ties, and only ties pay for comparing Fractions.
+        order = sorted(self.histogram, key=lambda p: (100 * p.numerator // p.denominator, p))
         doc = {
             "counts": {
                 "malign": self.counts[Verdict.MALIGN],
@@ -344,8 +348,7 @@ class BatchSummary:
                 "benign": self.counts[Verdict.BENIGN],
             },
             "record_errors": self.record_errors,
-            # Keys are distinct, so sorting them alone gives the items' order.
-            "histogram": {_percent_key(p): self.histogram[p] for p in sorted(self.histogram)},
+            "histogram": {_percent_key(p): self.histogram[p] for p in order},
         }
         if self.cross_table is not None:
             doc["label_cross_table"] = {
@@ -364,7 +367,7 @@ def _percent_key(value: Fraction) -> str:
 
 
 def classification_record(item: Classification) -> dict:
-    """JSON-ready record for one classified trace."""
+    """JSON-ready record for one classified trace; JsonReportWriter writes it from a template."""
     pct = item.match_percentage
     matched = [t.behavior for t in item.match.matched_transitions]
     nearest = item.nearest
@@ -384,18 +387,83 @@ def classification_record(item: Classification) -> dict:
     }
 
 
+# JsonReportWriter's lines; strings go in through the encoder that json.dumps uses.
+_RECORD = (
+    '{"id": %s, "label": %s, "verdict": "%s", "match_percentage": "%s", '
+    '"match_fraction": {"num": %d, "den": %d}, "end_state": %d, "matched_behaviors": [%s], '
+    '"nearest_final_state": %s, "denominator_path_behaviors": %s}\n'
+)
+_ERROR_RECORD = '{"error": %s, "line": %d}\n'
+
+
+def _path_behaviors(dfa: BehaviorDfa, end: int, top: int) -> tuple[list[str], int] | None:
+    """The behavior ids, as text, on the path from the initial state to `top` through `end`.
+
+    One walk up top's parent links gives the path to top, and the part above
+    `end` is the path to end: the second item counts its ids. None when the
+    links do not lead from top through end to the initial state.
+    """
+    parent = dfa._tables[1]
+    ids: list[int] = []
+    state = top
+    while state > end:  # parent links descend, so the walk meets end or passes it
+        t = parent[state]
+        if t is None:
+            return None
+        ids.append(t[1])
+        state = t[0]
+    if state != end:
+        return None
+    below = len(ids)
+    while state:
+        t = parent[state]
+        if t is None:
+            return None
+        ids.append(t[1])
+        state = t[0]
+    ids.reverse()
+    return list(map(str, ids)), len(ids) - below
+
+
 class JsonReportWriter:
-    """Line-delimited JSON report: one record per trace, then a summary object."""
+    """Line-delimited JSON report: one record per trace, then a summary object.
+
+    Each record is written from one template, byte for byte the line that
+    json.dumps(classification_record(item), ensure_ascii=True) gives.
+    """
 
     def __init__(self, out: IO[str]):
         self._out = out
 
     def record(self, item: Union[Classification, RecordError]) -> None:
         if isinstance(item, RecordError):
-            doc = {"error": item.reason, "line": item.line}
-        else:
-            doc = classification_record(item)
-        self._out.write(json.dumps(doc, ensure_ascii=True) + "\n")
+            self._out.write(_ERROR_RECORD % (_quoted(item.reason), item.line))
+            return
+        match, nearest, pct = item.match, item.nearest, item.match_percentage
+        end = match.end_state
+        walked = _path_behaviors(match.model, end, end if nearest is None else nearest.final_state)
+        if walked is None:
+            # Only an unvalidated model breaks a path: the record's own walks raise
+            # the InternalInvariantError that names the break.
+            self._out.write(json.dumps(classification_record(item), ensure_ascii=True) + "\n")
+            return
+        ids, matched = walked
+        label = item.label
+        self._out.write(
+            _RECORD
+            % (
+                _quoted(item.trace_id),
+                "null" if label is None else _quoted(label),
+                item.verdict.value,
+                format_percent(pct),
+                pct.numerator,
+                pct.denominator,
+                end,
+                ", ".join(ids[:matched]),
+                "null" if nearest is None else nearest.final_state,
+                "null" if nearest is None else "[" + ", ".join(ids) + "]",
+            )
+        )
 
     def finish(self, summary: BatchSummary) -> None:
         self._out.write(json.dumps({"summary": summary.as_dict()}, ensure_ascii=True) + "\n")

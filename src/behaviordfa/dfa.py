@@ -31,7 +31,7 @@ of them the inner states of a chain, whose one edge goes to the next
 state, share one table.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
-writes it from string templates. deserialize() decodes the file to text,
+writes it from bytes templates. deserialize() decodes the file to text,
 letting its bytes go, then has the JSON parser make each well-formed
 transition object a Transition as it goes, so neither the file nor the
 transitions are ever held twice; then it checks the fields and the trie
@@ -69,12 +69,12 @@ _LISTED_ISSUES = 10  # a load error names this many structural issues, then coun
 
 # The model file as json.dumps(indent=2) lays it out; serialize() fills these in.
 _HEADER = (
-    '{\n  "version": %d,\n  "catalog_fingerprint": %s,\n  "pattern_count": %d,\n'
-    '  "states": %d,\n  "finals": %s,\n  "transitions": %s\n}\n'
+    b'{\n  "version": %d,\n  "catalog_fingerprint": %s,\n  "pattern_count": %d,\n'
+    b'  "states": %d,\n  "finals": %s,\n  "transitions": %s\n}\n'
 )
-_FINAL = "    %d"
+_FINAL = b"    %d"
 _TRANSITION = (
-    '    {\n      "from": %d,\n      "on": %d,\n      "to": %d,\n      "weight": %d\n    }'
+    b'    {\n      "from": %d,\n      "on": %d,\n      "to": %d,\n      "weight": %d\n    }'
 )
 
 
@@ -172,15 +172,21 @@ class BehaviorDfa(_DfaFields):
                 if source < target:
                     parent[target] = t
                     prefix[target] = prefix[source] + weight
-        finals = self.finals
-        nearest: list = [s if s in finals else None for s in range(n)]
-        for s in range(n - 1, 0, -1):  # descending: children have higher ids and settle first
-            final = nearest[s]
-            t = parent[s]
+        nearest: list = [None] * n
+        for f in self.finals:
+            if 0 <= f < n:
+                nearest[f] = f
+        # Descending: children have higher ids and settle first. A reversed list
+        # iterator reads each item when it gets there, so it sees what was set.
+        for final, t in zip(reversed(nearest), reversed(parent)):
             if final is not None and t is not None:
-                best = nearest[t.source]
-                if best is None or (prefix[final], final) < (prefix[best], best):
-                    nearest[t.source] = final
+                best = nearest[t[0]]
+                if best is None:
+                    nearest[t[0]] = final
+                else:
+                    weight, least = prefix[final], prefix[best]
+                    if weight < least or weight == least and final < best:
+                        nearest[t[0]] = final
         return out, parent, prefix, nearest
 
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
@@ -397,13 +403,20 @@ def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
     if not finals:
         flag("no-finals", "model has no final states")
 
-    for s in range(1, n):
-        if indegree[s] == 0:
-            flag("unreachable-state", f"state {s} is not reachable from the initial state")
-            if s in finals:
-                flag("unreachable-final", f"final state {s} is unreachable from the initial state")
-        elif indegree[s] > 1:
-            flag("not-a-trie", f"state {s} has {indegree[s]} incoming forward transitions")
+    # C-level counts skip each per-state sweep that could flag nothing: the first
+    # when every state but the initial one has one entry, the last when every
+    # state without a child is final.
+    if indegree.count(1) != n - 1:
+        for s in range(1, n):
+            if indegree[s] == 0:
+                flag("unreachable-state", f"state {s} is not reachable from the initial state")
+                if s in finals:
+                    flag(
+                        "unreachable-final",
+                        f"final state {s} is unreachable from the initial state",
+                    )
+            elif indegree[s] > 1:
+                flag("not-a-trie", f"state {s} has {indegree[s]} incoming forward transitions")
     for t in loops:
         if t.source == 0:
             flag("bad-self-loop", f"self-loop on behavior {t.behavior} at the initial state")
@@ -415,33 +428,31 @@ def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
                     f"self-loop on state {t.source} is behavior {t.behavior} weight {t.weight}, "
                     f"its incoming transition behavior {into.behavior} weight {into.weight}",
                 )
-    for s in range(n):
-        if not has_child[s] and s not in finals:
-            flag("no-final-ahead", f"no final state is reachable from state {s}")
+    if has_child.count(False) != len(finals) - sum(map(has_child.__getitem__, finals)):
+        for s in range(n):
+            if not has_child[s] and s not in finals:
+                flag("no-final-ahead", f"no final state is reachable from state {s}")
     return issues
 
 
 def serialize(dfa: BehaviorDfa) -> bytes:
-    """The model file, fixed byte for byte and written from string templates.
+    """The model file, fixed byte for byte and written from bytes templates.
 
     The bytes are what json.dumps(indent=2) writes for the model's document,
     plus a final newline; re-serializing a loaded model round-trips exactly.
     """
-    finals = [_FINAL % f for f in sorted(dfa.finals)]
-    transitions = [_TRANSITION % t for t in dfa.transitions]
-    text = _HEADER % (
+    return _HEADER % (
         MODEL_VERSION,
-        json.dumps(dfa.catalog_fingerprint),
+        json.dumps(dfa.catalog_fingerprint).encode("ascii"),
         dfa.pattern_count,
         dfa.state_count,
-        _array(finals),
-        _array(transitions),
+        _array(_FINAL, sorted(dfa.finals)),
+        _array(_TRANSITION, dfa.transitions),
     )
-    return text.encode("utf-8")
 
 
-def _array(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _array(template: bytes, values) -> bytes:
+    return b"[\n" + b",\n".join(map(template.__mod__, values)) + b"\n  ]" if values else b"[]"
 
 
 def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
@@ -495,7 +506,10 @@ def _model(doc) -> BehaviorDfa:
     raw_finals = doc["finals"]
     if not isinstance(raw_finals, list):
         raise ModelFormatError('"finals" must be an array')
-    finals = frozenset(_require_int(f, f"finals[{i}]") for i, f in enumerate(raw_finals))
+    if set(map(type, raw_finals)) - {int}:
+        for i, f in enumerate(raw_finals):  # names the first entry that is not an integer
+            _require_int(f, f"finals[{i}]")
+    finals = frozenset(raw_finals)
 
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):

@@ -5,12 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviordfa import ingest
 from behaviordfa.classify import (
     BatchSummary,
+    Classification,
     CsvReportWriter,
     JsonReportWriter,
     Verdict,
@@ -28,6 +29,10 @@ from behaviordfa.errors import InternalInvariantError, NoFinalReachableError
 from behaviordfa.ingest import RecordError, parse_traces
 
 from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
+from oracle import random_patterns, random_trace_steps
+
+# Any text, lone surrogates included: only a library-built trace can carry those.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
 
 
 class TestMatchPrefix:
@@ -518,3 +523,79 @@ class TestReportWriters:
         assert summary.summary_line() == "malign:0 partial:2 benign:0"
         summary.add(RecordError(9, "x"))
         assert summary.summary_line() == "malign:0 partial:2 benign:0 errors:1"
+
+    def test_histogram_keys_that_share_their_hundredths_come_out_in_exact_order(self):
+        # Each of these is 33.33..33.34: 100 * p rounds down to 3333 for all four.
+        ascending = [
+            Fraction(3333, 100), Fraction(100, 3), Fraction(166667, 5000), Fraction(6667, 200)
+        ]
+        summary = BatchSummary()
+        for p in (ascending[2], ascending[0], ascending[3], ascending[1]):
+            summary.add(Classification("t", None, Verdict.PARTIALLY_MALIGN, p, None, None))
+        assert list(summary.as_dict()["histogram"]) == [
+            "33.33", "100/3", "166667/5000", "6667/200"
+        ]
+
+    # 50 examples, about 0.5 s.
+    @settings(max_examples=50)
+    @given(st.sets(st.fractions(0, 100), max_size=20))
+    def test_histogram_keys_come_out_in_ascending_order(self, percentages):
+        summary = BatchSummary()
+        for p in percentages:
+            summary.add(Classification("t", None, Verdict.PARTIALLY_MALIGN, p, None, None))
+        expected = [_percent_key(p) for p in sorted(percentages)]
+        assert list(summary.as_dict()["histogram"]) == expected
+
+    # About 2 s: 200 examples, each a model of up to five patterns and up to
+    # ten records, any of them a record error.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(
+            st.tuples(ANY_TEXT, st.none() | ANY_TEXT)
+            | st.builds(RecordError, st.integers(1, 10**9), ANY_TEXT),
+            max_size=10,
+        ),
+    )
+    def test_each_record_is_the_line_json_dumps_writes(self, catalog, rng, drawn):
+        dfa = build_dfa(random_patterns(rng, (1, 5, 7, 11)), catalog)
+        items = [
+            item if isinstance(item, RecordError)
+            else make_trace(random_trace_steps(rng, (1, 5, 7, 11)), *item)
+            for item in drawn
+        ]
+        out = io.StringIO()
+        writer = JsonReportWriter(out)
+        expected = []
+        for item in classify_stream(dfa, items):
+            writer.record(item)
+            doc = (
+                {"error": item.reason, "line": item.line}
+                if isinstance(item, RecordError)
+                else classification_record(item)
+            )
+            expected.append(json.dumps(doc, ensure_ascii=True) + "\n")
+        assert out.getvalue().splitlines(keepends=True) == expected
+
+    @pytest.mark.parametrize(
+        "final, steps, verdict",
+        [
+            (1, [7, 5], Verdict.MALIGN),  # the final is entered only by the back edge
+            (4, [7, 5, 3], Verdict.PARTIALLY_MALIGN),  # the path to the end passes it
+            (4, [7, 5], Verdict.BENIGN),  # the end is entered only by it
+        ],
+        ids=["final", "partial", "benign"],
+    )
+    def test_a_path_through_a_back_edge_raises_as_the_record_does(self, final, steps, verdict):
+        # Only a hand-built model has one: validate() rejects the edge 2->1.
+        edges = [Transition(0, 7, 2, 3), Transition(2, 5, 1, 3), Transition(1, 3, 3, 3),
+                 Transition(3, 1, 4, 2)]
+        outcome = classify(BehaviorDfa(5, edges, {final}, "0" * 64, 1), make_trace(steps))
+        assert outcome.verdict is verdict
+        with pytest.raises(InternalInvariantError) as expected:
+            classification_record(outcome)
+        out = io.StringIO()
+        with pytest.raises(InternalInvariantError) as raised:
+            JsonReportWriter(out).record(outcome)
+        assert str(raised.value) == str(expected.value)
+        assert out.getvalue() == ""

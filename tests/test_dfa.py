@@ -260,6 +260,12 @@ class TestIndex:
         walk = match_prefix(dfa, make_trace([2]))
         assert (walk.end_state, walk.consumed_steps, walk.diverged) == (0, 0, True)
 
+    def test_a_final_outside_the_model_is_no_nearest_final(self):
+        # Only a hand-built model has one; validate() rejects it on load.
+        edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3)]
+        dfa = BehaviorDfa(3, edges, {-1, 2, 3}, "0" * 64, 1)
+        assert dfa._tables[3] == [2, 2, 2]
+
     def test_a_back_edge_is_no_parent_link(self):
         # Only a hand-built model has one: validate() rejects the edge 2->1.
         edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)]
