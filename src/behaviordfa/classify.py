@@ -18,8 +18,11 @@ an out table gives the edge's target as an offset from the state, 0
 on a self-loop, and its weight. classify() builds no path: the
 explanation fields of a result (matched_transitions, matched_weight,
 forward_path, denominator_path) are read off the model's tables when a
-caller reads them, each path by one walk up the model's parent links. Results are named tuples that
-carry the model, immutable and compared by their public fields.
+caller reads them. The denominator path is the model's path from the
+initial state to the nearest final, one walk up its parent links, and
+the matched and forward paths are its head and tail, split where it
+leaves the walk's end state. Results are named tuples that carry the
+model, immutable and compared by their public fields.
 Self-loop traversals consume input but add no weight on either side of
 the ratio, so a behavior repeated eight times scores the same as one
 repeated twice. Percentages are exact rationals end to end; decimal
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
 from operator import attrgetter
@@ -75,7 +79,8 @@ def _compared_by(*fields: str):
 
 
 @_compared_by(
-    "end_state", "matched_transitions", "matched_weight", "consumed_steps", "diverged", "reached_final"
+    "end_state", "matched_transitions", "matched_weight", "consumed_steps", "diverged",
+    "reached_final",
 )
 class MatchResult(NamedTuple):
     """Where a prefix walk ended; its path and weight are read off the model on demand."""
@@ -101,9 +106,10 @@ class MatchResult(NamedTuple):
 class NearestFinal(NamedTuple):
     """The cheapest final state ahead of from_state; paths are read off the model on demand.
 
-    forward_path runs from from_state down to final_state, and
-    denominator_path from the initial state all the way to the final: the
-    path to from_state plus forward_path, both read up parent links.
+    denominator_path runs from the initial state all the way to the final,
+    by one walk up the final's parent links. forward_path is its tail from
+    from_state on: the path passes through from_state, so the edges above
+    it are the path to from_state.
     """
 
     final_state: int
@@ -114,11 +120,22 @@ class NearestFinal(NamedTuple):
     @property
     def forward_path(self) -> tuple[Transition, ...]:
         """The forward edges from from_state to final_state, never a self-loop."""
-        return self.model._path(self.from_state, self.final_state)
+        path = self.denominator_path
+        return path[_split(path, self.from_state, self.final_state):]
 
     @property
     def denominator_path(self) -> tuple[Transition, ...]:
-        return self.model.path_from_initial(self.from_state) + self.forward_path
+        return self.model.path_from_initial(self.final_state)
+
+
+def _split(path: tuple[Transition, ...], state: int, final: int) -> int:
+    """How many edges of `path`, the path to `final`, lie above `state` on it."""
+    if state == final:
+        return len(path)
+    i = bisect_left(path, (state,))  # sources ascend along the path
+    if i == len(path) or path[i][0] != state:
+        raise InternalInvariantError(f"state {final} is not reachable from state {state}")
+    return i
 
 
 class Classification(NamedTuple):
@@ -297,10 +314,9 @@ def classify_stream(
 
 
 class BatchSummary:
-    """Running verdict counts, partial-match histogram and label cross-table."""
+    """Running partial-match histogram and label cross-table, whose rows sum to the counts."""
 
     def __init__(self):
-        self.counts: dict[Verdict, int] = {v: 0 for v in Verdict}
         self.record_errors = 0
         self.histogram: dict[Fraction, int] = {}
         self._cross: dict[str, dict[Verdict, int]] = {}
@@ -310,8 +326,8 @@ class BatchSummary:
         if isinstance(item, RecordError):
             self.record_errors += 1
             return
-        self.counts[item.verdict] += 1
-        if item.verdict is Verdict.PARTIALLY_MALIGN:
+        verdict = item.verdict
+        if verdict is Verdict.PARTIALLY_MALIGN:
             key = item.match_percentage
             self.histogram[key] = self.histogram.get(key, 0) + 1
         if item.label is not None:
@@ -320,7 +336,12 @@ class BatchSummary:
         row = self._cross.get(label)
         if row is None:
             row = self._cross[label] = {v: 0 for v in Verdict}
-        row[item.verdict] += 1
+        row[verdict] += 1
+
+    @property
+    def counts(self) -> dict[Verdict, int]:
+        """Items per verdict, a new dict summed from the cross-table rows."""
+        return {v: sum(row[v] for row in self._cross.values()) for v in Verdict}
 
     @property
     def cross_table(self) -> dict[str, dict[Verdict, int]] | None:
@@ -328,10 +349,11 @@ class BatchSummary:
         return self._cross if self._any_label else None
 
     def summary_line(self) -> str:
+        counts = self.counts
         line = (
-            f"malign:{self.counts[Verdict.MALIGN]} "
-            f"partial:{self.counts[Verdict.PARTIALLY_MALIGN]} "
-            f"benign:{self.counts[Verdict.BENIGN]}"
+            f"malign:{counts[Verdict.MALIGN]} "
+            f"partial:{counts[Verdict.PARTIALLY_MALIGN]} "
+            f"benign:{counts[Verdict.BENIGN]}"
         )
         if self.record_errors:
             line += f" errors:{self.record_errors}"
@@ -341,11 +363,12 @@ class BatchSummary:
         # Keys are distinct, so sorting them alone gives the items' order. The floor
         # of 100 * p orders all but ties, and only ties pay for comparing Fractions.
         order = sorted(self.histogram, key=lambda p: (100 * p.numerator // p.denominator, p))
+        counts = self.counts
         doc = {
             "counts": {
-                "malign": self.counts[Verdict.MALIGN],
-                "partially_malign": self.counts[Verdict.PARTIALLY_MALIGN],
-                "benign": self.counts[Verdict.BENIGN],
+                "malign": counts[Verdict.MALIGN],
+                "partially_malign": counts[Verdict.PARTIALLY_MALIGN],
+                "benign": counts[Verdict.BENIGN],
             },
             "record_errors": self.record_errors,
             "histogram": {_percent_key(p): self.histogram[p] for p in order},
@@ -366,10 +389,18 @@ def _percent_key(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _path_ids(item: Classification) -> tuple[list[int], int]:
+    """The ids on the path to the nearest final (else the end), and how many are matched."""
+    end, nearest = item.match.end_state, item.nearest
+    top = end if nearest is None else nearest.final_state
+    path = item.match.model.path_from_initial(top)
+    return [t[1] for t in path], _split(path, end, top)
+
+
 def classification_record(item: Classification) -> dict:
     """JSON-ready record for one classified trace; JsonReportWriter writes it from a template."""
     pct = item.match_percentage
-    matched = [t.behavior for t in item.match.matched_transitions]
+    ids, matched = _path_ids(item)
     nearest = item.nearest
     return {
         "id": item.trace_id,
@@ -378,51 +409,20 @@ def classification_record(item: Classification) -> dict:
         "match_percentage": format_percent(pct),
         "match_fraction": {"num": pct.numerator, "den": pct.denominator},
         "end_state": item.match.end_state,
-        "matched_behaviors": matched,
+        "matched_behaviors": ids[:matched],
         "nearest_final_state": nearest.final_state if nearest else None,
-        # The denominator path is the matched path carried on to the nearest final.
-        "denominator_path_behaviors": (
-            matched + [t.behavior for t in nearest.forward_path] if nearest else None
-        ),
+        "denominator_path_behaviors": ids if nearest else None,
     }
 
 
-# JsonReportWriter's lines; strings go in through the encoder that json.dumps uses.
+# JsonReportWriter's lines. Strings go in through the encoder that json.dumps uses, and a
+# list of int ids as its str(), which is the text json.dumps writes for it.
 _RECORD = (
     '{"id": %s, "label": %s, "verdict": "%s", "match_percentage": "%s", '
-    '"match_fraction": {"num": %d, "den": %d}, "end_state": %d, "matched_behaviors": [%s], '
+    '"match_fraction": {"num": %d, "den": %d}, "end_state": %d, "matched_behaviors": %s, '
     '"nearest_final_state": %s, "denominator_path_behaviors": %s}\n'
 )
 _ERROR_RECORD = '{"error": %s, "line": %d}\n'
-
-
-def _path_behaviors(dfa: BehaviorDfa, end: int, top: int) -> tuple[list[str], int] | None:
-    """The behavior ids, as text, on the path from the initial state to `top` through `end`.
-
-    One walk up top's parent links gives the path to top, and the part above
-    `end` is the path to end: the second item counts its ids. None when the
-    links do not lead from top through end to the initial state.
-    """
-    parent = dfa._tables[1]
-    ids: list[int] = []
-    state = top
-    while state > end:  # parent links descend, so the walk meets end or passes it
-        t = parent[state]
-        if t is None:
-            return None
-        ids.append(t[1])
-        state = t[0]
-    if state != end:
-        return None
-    below = len(ids)
-    while state:
-        t = parent[state]
-        if t is None:
-            return None
-        ids.append(t[1])
-        state = t[0]
-    ids.reverse()
-    return list(map(str, ids)), len(ids) - below
 
 
 class JsonReportWriter:
@@ -439,16 +439,9 @@ class JsonReportWriter:
         if isinstance(item, RecordError):
             self._out.write(_ERROR_RECORD % (_quoted(item.reason), item.line))
             return
-        match, nearest, pct = item.match, item.nearest, item.match_percentage
-        end = match.end_state
-        walked = _path_behaviors(match.model, end, end if nearest is None else nearest.final_state)
-        if walked is None:
-            # Only an unvalidated model breaks a path: the record's own walks raise
-            # the InternalInvariantError that names the break.
-            self._out.write(json.dumps(classification_record(item), ensure_ascii=True) + "\n")
-            return
-        ids, matched = walked
-        label = item.label
+        ids, matched = _path_ids(item)
+        path = str(ids)
+        nearest, pct, label = item.nearest, item.match_percentage, item.label
         self._out.write(
             _RECORD
             % (
@@ -458,10 +451,10 @@ class JsonReportWriter:
                 format_percent(pct),
                 pct.numerator,
                 pct.denominator,
-                end,
-                ", ".join(ids[:matched]),
+                item.match.end_state,
+                path if matched == len(ids) else ids[:matched],
                 "null" if nearest is None else nearest.final_state,
-                "null" if nearest is None else "[" + ", ".join(ids) + "]",
+                "null" if nearest is None else path,
             )
         )
 

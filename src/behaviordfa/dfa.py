@@ -190,20 +190,19 @@ class BehaviorDfa(_DfaFields):
         return out, parent, prefix, nearest
 
     def path_from_initial(self, state: int) -> tuple[Transition, ...]:
-        """The unique non-self-loop path from the initial state to `state`."""
-        return self._path(0, state)
+        """The unique non-self-loop path from the initial state to `state`, sources ascending.
 
-    def _path(self, start: int, end: int) -> tuple[Transition, ...]:
-        """The forward transitions from `start` down to `end`, read up end's parent links."""
+        The one walk up the parent links: every other path is a slice of one.
+        """
         parent = self._tables[1]
         path: list[Transition] = []
-        current = end
-        while current != start:
+        current = state
+        while current:
             t = parent[current]
             if t is None:
-                raise InternalInvariantError(f"state {end} is not reachable from state {start}")
+                raise InternalInvariantError(f"state {state} is not reachable from state 0")
             path.append(t)
-            current = t.source
+            current = t[0]
         path.reverse()
         return tuple(path)
 

@@ -14,6 +14,7 @@ from behaviordfa.classify import (
     Classification,
     CsvReportWriter,
     JsonReportWriter,
+    NearestFinal,
     Verdict,
     classification_record,
     classify,
@@ -185,6 +186,15 @@ class TestNearestFinal:
         with pytest.raises(ValueError):
             nearest_final(seed_dfa, 99)
 
+    @pytest.mark.parametrize("final, from_state", [(10, 2), (10, 6), (6, 8)])
+    def test_a_from_state_off_the_path_to_its_final_raises(self, seed_dfa, final, from_state):
+        # Only a hand-built result has one: nearest_final() gives a final below its state.
+        near = NearestFinal(final, seed_dfa._tables[2][final], from_state, seed_dfa)
+        assert near.denominator_path == seed_dfa.path_from_initial(final)
+        with pytest.raises(InternalInvariantError) as raised:
+            near.forward_path
+        assert str(raised.value) == f"state {final} is not reachable from state {from_state}"
+
 
 class TestMatchPercentage:
     @pytest.mark.parametrize(
@@ -331,7 +341,7 @@ class TestClassify:
         # Reading an explanation field is what builds a path.
         assert [t.behavior for t in diverged.match.matched_transitions] == [5, 1]
         assert [t.behavior for t in diverged.nearest.denominator_path] == [5, 1, 5, 1]
-        assert calls == [8, 8]
+        assert calls == [8, 10]
 
     def test_results_are_immutable_values(self, seed_dfa, seed_patterns, catalog):
         outcome = classify(seed_dfa, make_trace([7, 5]))
@@ -380,6 +390,33 @@ class TestClassifyBatch:
         assert counts[Verdict.PARTIALLY_MALIGN] == 1
         assert counts[Verdict.BENIGN] == 1
         assert summary.histogram == {Fraction(75, 2): 1}
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(
+            st.builds(RecordError, st.integers(1, 99), st.just("bad"))
+            | st.tuples(st.sampled_from(Verdict), st.sampled_from([None, "malicious", "benign"])),
+            max_size=30,
+        )
+    )
+    def test_counts_are_a_new_dict_of_what_was_added(self, drawn):
+        percent = {Verdict.MALIGN: 100, Verdict.PARTIALLY_MALIGN: 50, Verdict.BENIGN: 0}
+        summary = BatchSummary()
+        for item in drawn:
+            if not isinstance(item, RecordError):
+                verdict, label = item
+                item = Classification("t", label, verdict, Fraction(percent[verdict]), None, None)
+            summary.add(item)
+        kept = [item for item in drawn if not isinstance(item, RecordError)]
+        expected = {v: sum(verdict is v for verdict, _ in kept) for v in Verdict}
+        counts = summary.counts
+        assert counts == expected and counts is not summary.counts
+        doc, line = summary.as_dict(), summary.summary_line()
+        assert doc["counts"] == {v.value: expected[v] for v in Verdict}
+        counts[Verdict.MALIGN] += 1
+        counts.clear()
+        assert summary.as_dict() == doc and summary.summary_line() == line
+        assert summary.counts == expected
 
     def test_empty_batch(self, seed_dfa):
         outcomes, summary = run_batch(seed_dfa, [])
