@@ -25,8 +25,11 @@ leaves the walk's end state. Results are named tuples that carry the
 model, immutable and compared by their public fields.
 Self-loop traversals consume input but add no weight on either side of
 the ratio, so a behavior repeated eight times scores the same as one
-repeated twice. Percentages are exact rationals end to end; decimal
-strings appear only at the output boundary.
+repeated twice. Percentages are exact rationals end to end: a result
+stores no percentage, the writers and the summary carry it as the
+reduced integer pair (numerator, denominator), and a Fraction is built
+only when a caller reads match_percentage or BatchSummary.histogram.
+Decimal strings appear only at the output boundary.
 """
 
 from __future__ import annotations
@@ -34,14 +37,18 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from fractions import Fraction
+from functools import cmp_to_key
 from json.encoder import encode_basestring_ascii as _quoted
+from math import gcd
 from operator import attrgetter
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .dfa import BehaviorDfa, Transition
 from .errors import InternalInvariantError, NoFinalReachableError
 from .ingest import BehaviorTrace, RecordError
+
+if TYPE_CHECKING:  # a Fraction is built only where one is read, and imported there
+    from fractions import Fraction
 
 
 class Verdict(enum.Enum):
@@ -139,18 +146,29 @@ def _split(path: tuple[Transition, ...], state: int, final: int) -> int:
 
 
 class Classification(NamedTuple):
-    """Verdict plus the full explanation payload for one trace."""
+    """Verdict plus the full explanation payload for one trace.
+
+    The percentage is derived from the verdict, match and nearest, like the
+    explanation fields: 100 for malign, 0 for benign, and for a partial
+    100 * matched weight / the nearest final's denominator weight.
+    """
 
     trace_id: str
     label: str | None
     verdict: Verdict
-    match_percentage: Fraction
     match: MatchResult
     nearest: NearestFinal | None
 
     @property
+    def match_percentage(self) -> Fraction:
+        """The exact percentage, a Fraction built when read."""
+        from fractions import Fraction
+
+        return Fraction(*_percent_pair(self))
+
+    @property
     def percent_display(self) -> str:
-        return format_percent(self.match_percentage)
+        return _format_pair(*_percent_pair(self))
 
 
 def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
@@ -235,14 +253,30 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     return tuple.__new__(NearestFinal, (final, prefix[final], from_state, dfa))
 
 
+def _weights_error(matched_weight: int, denominator_weight: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"match percentage needs 0 <= matched <= denominator and denominator >= 1, "
+        f"got matched={matched_weight} denominator={denominator_weight}"
+    )
+
+
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
     """Exact percentage 100 * matched / denominator."""
+    from fractions import Fraction
+
     if denominator_weight < 1 or not 0 <= matched_weight <= denominator_weight:
-        raise InternalInvariantError(
-            f"match percentage needs 0 <= matched <= denominator and denominator >= 1, "
-            f"got matched={matched_weight} denominator={denominator_weight}"
-        )
+        raise _weights_error(matched_weight, denominator_weight)
     return Fraction(100 * matched_weight, denominator_weight)
+
+
+def _percent_pair(item: Classification) -> tuple[int, int]:
+    """The item's exact percentage as the pair (numerator, denominator) in lowest terms."""
+    verdict = item.verdict
+    if verdict is Verdict.PARTIALLY_MALIGN:
+        num, den = 100 * item.match.matched_weight, item.nearest.denominator_weight
+        common = gcd(num, den)
+        return num // common, den // common
+    return (100, 1) if verdict is Verdict.MALIGN else (0, 1)
 
 
 def format_percent(value: Fraction) -> str:
@@ -251,8 +285,12 @@ def format_percent(value: Fraction) -> str:
     Rounds to the nearest hundredth, a halfway value to the even one, in
     integer arithmetic.
     """
-    den = value.denominator
-    hundredths, rest = divmod(100 * value.numerator, den)
+    return _format_pair(value.numerator, value.denominator)
+
+
+def _format_pair(num: int, den: int) -> str:
+    """format_percent of num / den."""
+    hundredths, rest = divmod(100 * num, den)
     if 2 * rest > den or (2 * rest == den and hundredths % 2):
         hundredths += 1
     whole, frac = divmod(hundredths, 100)
@@ -263,34 +301,33 @@ def format_percent(value: Fraction) -> str:
     return f"{whole}.{frac:02d}"
 
 
-_HUNDRED = Fraction(100)
-_ZERO = Fraction(0)
-
-
 def classify(dfa: BehaviorDfa, trace: BehaviorTrace) -> Classification:
     """Three-way verdict for one trace.
 
     Reaching a final state is malign at 100%. A walk that matched nothing
     is benign at 0%. Anything in between is partially malign, scored
     against the nearest final state ahead of where the walk ended. No path
-    is built here: the explanation fields read them off the model on demand.
+    and no percentage is built here: the result derives both on demand.
     """
     match = match_prefix(dfa, trace)
+    end = match.end_state
     if match.reached_final:
-        nearest = nearest_final(dfa, match.end_state)
         return tuple.__new__(
-            Classification, (trace.trace_id, trace.label, Verdict.MALIGN, _HUNDRED, match, nearest)
+            Classification,
+            (trace.trace_id, trace.label, Verdict.MALIGN, match, nearest_final(dfa, end)),
         )
-    matched_weight = match.matched_weight
+    matched_weight = dfa._tables[2][end]
     if matched_weight == 0:
         return tuple.__new__(
-            Classification, (trace.trace_id, trace.label, Verdict.BENIGN, _ZERO, match, None)
+            Classification, (trace.trace_id, trace.label, Verdict.BENIGN, match, None)
         )
-    nearest = nearest_final(dfa, match.end_state)
-    percentage = match_percentage(matched_weight, nearest.denominator_weight)
+    nearest = nearest_final(dfa, end)
+    denominator_weight = nearest.denominator_weight
+    # matched_weight is not 0 here, so this also holds the denominator at 1 or more.
+    if not 0 <= matched_weight <= denominator_weight:
+        raise _weights_error(matched_weight, denominator_weight)
     return tuple.__new__(
-        Classification,
-        (trace.trace_id, trace.label, Verdict.PARTIALLY_MALIGN, percentage, match, nearest),
+        Classification, (trace.trace_id, trace.label, Verdict.PARTIALLY_MALIGN, match, nearest)
     )
 
 
@@ -314,11 +351,16 @@ def classify_stream(
 
 
 class BatchSummary:
-    """Running partial-match histogram and label cross-table, whose rows sum to the counts."""
+    """Running partial-match histogram and label cross-table, whose rows sum to the counts.
+
+    The histogram is kept by each partial's exact percentage as its reduced
+    (numerator, denominator) pair; the histogram property reads it out as
+    a new dict keyed by Fraction.
+    """
 
     def __init__(self):
         self.record_errors = 0
-        self.histogram: dict[Fraction, int] = {}
+        self._histogram: dict[tuple[int, int], int] = {}
         self._cross: dict[str, dict[Verdict, int]] = {}
         self._any_label = False
 
@@ -328,8 +370,8 @@ class BatchSummary:
             return
         verdict = item.verdict
         if verdict is Verdict.PARTIALLY_MALIGN:
-            key = item.match_percentage
-            self.histogram[key] = self.histogram.get(key, 0) + 1
+            key = _percent_pair(item)
+            self._histogram[key] = self._histogram.get(key, 0) + 1
         if item.label is not None:
             self._any_label = True
         label = item.label or "unlabeled"
@@ -337,6 +379,13 @@ class BatchSummary:
         if row is None:
             row = self._cross[label] = {v: 0 for v in Verdict}
         row[verdict] += 1
+
+    @property
+    def histogram(self) -> dict[Fraction, int]:
+        """Partial matches per exact percentage, a new dict keyed by Fraction."""
+        from fractions import Fraction
+
+        return {Fraction(*key): count for key, count in self._histogram.items()}
 
     @property
     def counts(self) -> dict[Verdict, int]:
@@ -360,9 +409,9 @@ class BatchSummary:
         return line
 
     def as_dict(self) -> dict:
-        # Keys are distinct, so sorting them alone gives the items' order. The floor
-        # of 100 * p orders all but ties, and only ties pay for comparing Fractions.
-        order = sorted(self.histogram, key=lambda p: (100 * p.numerator // p.denominator, p))
+        # Keys are distinct, so sorting them alone gives the items' order.
+        histogram = self._histogram
+        order = sorted(histogram, key=_BY_VALUE)
         counts = self.counts
         doc = {
             "counts": {
@@ -371,7 +420,7 @@ class BatchSummary:
                 "benign": counts[Verdict.BENIGN],
             },
             "record_errors": self.record_errors,
-            "histogram": {_percent_key(p): self.histogram[p] for p in order},
+            "histogram": {_pair_key(*pair): histogram[pair] for pair in order},
         }
         if self.cross_table is not None:
             doc["label_cross_table"] = {
@@ -381,12 +430,20 @@ class BatchSummary:
         return doc
 
 
+# Orders (numerator, denominator) pairs, denominators positive, by their exact value.
+_BY_VALUE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 def _percent_key(value: Fraction) -> str:
+    return _pair_key(value.numerator, value.denominator)
+
+
+def _pair_key(num: int, den: int) -> str:
     # Exact rationals stay distinct even when two of them would round to
     # the same two-digit decimal.
-    if 100 * value.numerator % value.denominator == 0:
-        return format_percent(value)
-    return f"{value.numerator}/{value.denominator}"
+    if 100 * num % den == 0:
+        return _format_pair(num, den)
+    return f"{num}/{den}"
 
 
 def _path_ids(item: Classification) -> tuple[list[int], int]:
@@ -399,15 +456,15 @@ def _path_ids(item: Classification) -> tuple[list[int], int]:
 
 def classification_record(item: Classification) -> dict:
     """JSON-ready record for one classified trace; JsonReportWriter writes it from a template."""
-    pct = item.match_percentage
+    num, den = _percent_pair(item)
     ids, matched = _path_ids(item)
     nearest = item.nearest
     return {
         "id": item.trace_id,
         "label": item.label,
         "verdict": item.verdict.value,
-        "match_percentage": format_percent(pct),
-        "match_fraction": {"num": pct.numerator, "den": pct.denominator},
+        "match_percentage": _format_pair(num, den),
+        "match_fraction": {"num": num, "den": den},
         "end_state": item.match.end_state,
         "matched_behaviors": ids[:matched],
         "nearest_final_state": nearest.final_state if nearest else None,
@@ -441,16 +498,17 @@ class JsonReportWriter:
             return
         ids, matched = _path_ids(item)
         path = str(ids)
-        nearest, pct, label = item.nearest, item.match_percentage, item.label
+        nearest, label = item.nearest, item.label
+        num, den = _percent_pair(item)
         self._out.write(
             _RECORD
             % (
                 _quoted(item.trace_id),
                 "null" if label is None else _quoted(label),
                 item.verdict.value,
-                format_percent(pct),
-                pct.numerator,
-                pct.denominator,
+                _format_pair(num, den),
+                num,
+                den,
                 item.match.end_state,
                 path if matched == len(ids) else ids[:matched],
                 "null" if nearest is None else nearest.final_state,

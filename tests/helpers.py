@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from behaviordfa.classify import BatchSummary, classify_stream
+from fractions import Fraction
+
+from behaviordfa.classify import (
+    BatchSummary,
+    Classification,
+    MatchResult,
+    NearestFinal,
+    Verdict,
+    classify_stream,
+)
+from behaviordfa.dfa import BehaviorDfa, Transition
 from behaviordfa.ingest import BehaviorTrace
 
 # Known-malicious seed sequences used throughout the suite. Building from
@@ -28,3 +38,28 @@ def run_batch(dfa, items):
         summary.add(outcome)
         outcomes.append(outcome)
     return outcomes, summary
+
+
+def weighted_classification(
+    matched, denominator, verdict=Verdict.PARTIALLY_MALIGN, label=None, trace_id="t"
+) -> Classification:
+    """A Classification whose walk matched `matched` weight, against a hand-built nearest final.
+
+    The model is one edge 0 -> 1 of weight `matched` (1 when `matched` is 0),
+    the walk ends at state 1, or at state 0 when `matched` is 0, and the
+    nearest final's denominator weight is `denominator`, so a partial reads
+    100 * matched / denominator.
+    """
+    model = BehaviorDfa(2, [Transition(0, 7, 1, matched or 1)], {1}, "0" * 64, 1)
+    end = 1 if matched else 0
+    match = MatchResult(end, end, False, verdict is Verdict.MALIGN, model)
+    nearest = None if verdict is Verdict.BENIGN else NearestFinal(1, denominator, end, model)
+    return Classification(trace_id, label, verdict, match, nearest)
+
+
+def classification_at(p: Fraction, verdict=Verdict.PARTIALLY_MALIGN, label=None) -> Classification:
+    """A Classification for any percentage p in [0, 100]: a partial reads back exactly p.
+
+    Edge weight p.numerator over denominator weight 100 * p.denominator.
+    """
+    return weighted_classification(p.numerator, 100 * p.denominator, verdict, label)

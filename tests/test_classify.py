@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from behaviordfa import ingest
 from behaviordfa.classify import (
     BatchSummary,
-    Classification,
     CsvReportWriter,
     JsonReportWriter,
     NearestFinal,
@@ -29,7 +28,7 @@ from behaviordfa.dfa import BehaviorDfa, Transition, build_dfa
 from behaviordfa.errors import InternalInvariantError, NoFinalReachableError
 from behaviordfa.ingest import RecordError, parse_traces
 
-from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
+from helpers import PATTERN_A, PATTERN_B, classification_at, make_trace, run_batch
 from oracle import random_patterns, random_trace_steps
 
 # Any text, lone surrogates included: only a library-built trace can carry those.
@@ -405,7 +404,7 @@ class TestClassifyBatch:
         for item in drawn:
             if not isinstance(item, RecordError):
                 verdict, label = item
-                item = Classification("t", label, verdict, Fraction(percent[verdict]), None, None)
+                item = classification_at(Fraction(percent[verdict]), verdict, label)
             summary.add(item)
         kept = [item for item in drawn if not isinstance(item, RecordError)]
         expected = {v: sum(verdict is v for verdict, _ in kept) for v in Verdict}
@@ -568,7 +567,7 @@ class TestReportWriters:
         ]
         summary = BatchSummary()
         for p in (ascending[2], ascending[0], ascending[3], ascending[1]):
-            summary.add(Classification("t", None, Verdict.PARTIALLY_MALIGN, p, None, None))
+            summary.add(classification_at(p))
         assert list(summary.as_dict()["histogram"]) == [
             "33.33", "100/3", "166667/5000", "6667/200"
         ]
@@ -579,7 +578,7 @@ class TestReportWriters:
     def test_histogram_keys_come_out_in_ascending_order(self, percentages):
         summary = BatchSummary()
         for p in percentages:
-            summary.add(Classification("t", None, Verdict.PARTIALLY_MALIGN, p, None, None))
+            summary.add(classification_at(p))
         expected = [_percent_key(p) for p in sorted(percentages)]
         assert list(summary.as_dict()["histogram"]) == expected
 

@@ -136,7 +136,6 @@ def test_classify_returns_the_public_result_types(seed_dfa, steps, verdict):
         trace_id=outcome.trace_id,
         label=outcome.label,
         verdict=outcome.verdict,
-        match_percentage=outcome.match_percentage,
         match=rebuilt_match,
         nearest=rebuilt_nearest,
     )
