@@ -17,7 +17,6 @@ from .classify import (
     classification_record,
     classify,
     classify_stream,
-    format_percent,
     match_percentage,
     match_prefix,
     nearest_final,
@@ -40,7 +39,6 @@ from .errors import (
     EngineError,
     InternalInvariantError,
     ModelFormatError,
-    NoFinalReachableError,
     PatternError,
     TraceFormatError,
     UnknownBehaviorError,
@@ -70,7 +68,6 @@ __all__ = [
     "MatchResult",
     "ModelFormatError",
     "NearestFinal",
-    "NoFinalReachableError",
     "PatternError",
     "RecordError",
     "TraceFormatError",
@@ -87,7 +84,6 @@ __all__ = [
     "default_catalog",
     "deserialize",
     "export_dot",
-    "format_percent",
     "load_catalog",
     "match_percentage",
     "match_prefix",

@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .dfa import BehaviorDfa, Transition
-from .errors import InternalInvariantError, NoFinalReachableError
+from .errors import InternalInvariantError
 from .ingest import BehaviorTrace, RecordError
 
 if TYPE_CHECKING:  # a Fraction is built only where one is read, and imported there
@@ -241,23 +241,14 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
     between equally cheap finals go to the smallest state id. The returned
     denominator covers the whole initial-to-final path, so it is that
     final's weight from the initial state. The paths are only built when
-    the result's path fields are read.
-    Raises NoFinalReachableError when no final is ahead.
+    the result's path fields are read. The model's index refuses a model
+    that validate() flags, so every state has a final ahead.
     """
     if not 0 <= from_state < dfa.state_count:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
     _, _, prefix, nearest = dfa._tables
     final = nearest[from_state]
-    if final is None:
-        raise NoFinalReachableError(f"no final state is reachable from state {from_state}")
     return tuple.__new__(NearestFinal, (final, prefix[final], from_state, dfa))
-
-
-def _weights_error(matched_weight: int, denominator_weight: int) -> InternalInvariantError:
-    return InternalInvariantError(
-        f"match percentage needs 0 <= matched <= denominator and denominator >= 1, "
-        f"got matched={matched_weight} denominator={denominator_weight}"
-    )
 
 
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
@@ -265,7 +256,10 @@ def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
     from fractions import Fraction
 
     if denominator_weight < 1 or not 0 <= matched_weight <= denominator_weight:
-        raise _weights_error(matched_weight, denominator_weight)
+        raise InternalInvariantError(
+            f"match percentage needs 0 <= matched <= denominator and denominator >= 1, "
+            f"got matched={matched_weight} denominator={denominator_weight}"
+        )
     return Fraction(100 * matched_weight, denominator_weight)
 
 
@@ -279,17 +273,12 @@ def _percent_pair(item: Classification) -> tuple[int, int]:
     return (100, 1) if verdict is Verdict.MALIGN else (0, 1)
 
 
-def format_percent(value: Fraction) -> str:
-    """Decimal rendering with up to two fractional digits, zeros trimmed.
+def _format_pair(num: int, den: int) -> str:
+    """num / den in decimal with up to two fractional digits, zeros trimmed.
 
     Rounds to the nearest hundredth, a halfway value to the even one, in
     integer arithmetic.
     """
-    return _format_pair(value.numerator, value.denominator)
-
-
-def _format_pair(num: int, den: int) -> str:
-    """format_percent of num / den."""
     hundredths, rest = divmod(100 * num, den)
     if 2 * rest > den or (2 * rest == den and hundredths % 2):
         hundredths += 1
@@ -312,22 +301,15 @@ def classify(dfa: BehaviorDfa, trace: BehaviorTrace) -> Classification:
     match = match_prefix(dfa, trace)
     end = match.end_state
     if match.reached_final:
-        return tuple.__new__(
-            Classification,
-            (trace.trace_id, trace.label, Verdict.MALIGN, match, nearest_final(dfa, end)),
-        )
-    matched_weight = dfa._tables[2][end]
-    if matched_weight == 0:
+        verdict = Verdict.MALIGN
+    elif end:  # weights are positive, so only a walk that stayed at state 0 matched nothing
+        verdict = Verdict.PARTIALLY_MALIGN
+    else:
         return tuple.__new__(
             Classification, (trace.trace_id, trace.label, Verdict.BENIGN, match, None)
         )
-    nearest = nearest_final(dfa, end)
-    denominator_weight = nearest.denominator_weight
-    # matched_weight is not 0 here, so this also holds the denominator at 1 or more.
-    if not 0 <= matched_weight <= denominator_weight:
-        raise _weights_error(matched_weight, denominator_weight)
     return tuple.__new__(
-        Classification, (trace.trace_id, trace.label, Verdict.PARTIALLY_MALIGN, match, nearest)
+        Classification, (trace.trace_id, trace.label, verdict, match, nearest_final(dfa, end))
     )
 
 
@@ -432,10 +414,6 @@ class BatchSummary:
 
 # Orders (numerator, denominator) pairs, denominators positive, by their exact value.
 _BY_VALUE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-
-
-def _percent_key(value: Fraction) -> str:
-    return _pair_key(value.numerator, value.denominator)
 
 
 def _pair_key(num: int, den: int) -> str:

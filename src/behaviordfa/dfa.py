@@ -24,11 +24,14 @@ numbering. Growing never copies the base model: its edges are found by
 bisection in its sorted transitions, so an add costs O(patterns * log
 model) lookups plus one C-level copy and merge of the sorted edges,
 once per call however large the batch. The one per-state lookup
-index is built on first use, so build and add never pay for it. Its out
-tables map a behavior to the edge's (target offset, weight) rather than
-to the edge, so the many states whose edges read the same that way, most
-of them the inner states of a chain, whose one edge goes to the next
-state, share one table.
+index is built on first use, so build and add never pay for it, and only
+for a model that validate() passes. Each model asks validate() once and
+deserialize() reads that answer too, so a hand-built model that is no
+trie gets the loader's error, and no reader of the index guards against
+one. Its out tables map a behavior to the edge's (target offset, weight)
+rather than to the edge, so the many states whose edges read the same
+that way, most of them the inner states of a chain, whose one edge goes
+to the next state, share one table.
 
 The model file is 2-space-indented JSON, fixed byte for byte: serialize()
 writes it from bytes templates. deserialize() decodes the file to text,
@@ -106,7 +109,8 @@ class BehaviorDfa(_DfaFields):
     forward transitions go to higher state ids, and every state but the
     initial one has exactly one incoming forward transition. The one
     lookup index, _tables, holds every per-state fact that the prefix walk
-    and the nearest-final lookup read; it is built on first use and is no
+    and the nearest-final lookup read; it is built on first use, for a
+    model that validate() passes, and like validate()'s answer it is no
     field: equality, hash and repr go by the five fields.
     """
 
@@ -128,24 +132,27 @@ class BehaviorDfa(_DfaFields):
         raise AttributeError(f"cannot assign to {name!r}: a BehaviorDfa is immutable")
 
     @cached_property
+    def _issues(self) -> list[ValidationIssue]:
+        """validate(self), asked once per model object."""
+        return validate(self)
+
+    @cached_property
     def _tables(self) -> tuple[list, list, list, list]:
         """The one per-state index (out, parent, prefix, nearest), indexed by state id.
 
-        out[s] maps each behavior to (target - s, weight) for the transition
-        out of s on it: the offset is 0 for a self-loop and negative only
-        for a back edge. Every state whose edges read the same in this form
-        shares one dict, and most do, since growing numbers each new chain
-        of states in order: a state inside a chain has one edge, to s + 1.
-        parent is the forward transition into the state (None for state 0),
-        prefix the weight from the initial state, and nearest the final at
-        or below the state with the least (prefix, id), or None when no
-        final is ahead. Only forward transitions (source < target) set
-        parent and prefix, so parent chains always descend and the cost
-        from a state on to its nearest final is prefix[final] - prefix[state].
-        A transition with an end outside the model, which only an
-        unvalidated model has, is left out; for a repeated (source,
-        behavior), the last transition wins.
+        Raises the loader's ModelFormatError for a model that validate()
+        flags. out[s] maps each behavior to (target - s, weight) for the
+        transition out of s on it: the offset is 0 for a self-loop. Every
+        state whose edges read the same in this form shares one dict, and
+        most do, since growing numbers each new chain of states in order:
+        a state inside a chain has one edge, to s + 1. parent is the
+        forward transition into the state (None for state 0), prefix the
+        weight from the initial state, and nearest the final at or below
+        the state with the least (prefix, id). Parent chains descend, so
+        the cost from a state on to its nearest final is prefix[final] -
+        prefix[state].
         """
+        _refuse_unsound(self)
         n = self.state_count
         out: list = [{}] * n  # a state with no edges keeps this one empty table
         parent: list = [None] * n
@@ -167,19 +174,18 @@ class BehaviorDfa(_DfaFields):
                     out[at] = table
                     row = ()
                 at = source
-            if 0 <= source < n and 0 <= target < n:
-                row += (behavior, target - source, weight)
-                if source < target:
-                    parent[target] = t
-                    prefix[target] = prefix[source] + weight
+            row += (behavior, target - source, weight)
+            if source < target:
+                parent[target] = t
+                prefix[target] = prefix[source] + weight
         nearest: list = [None] * n
         for f in self.finals:
-            if 0 <= f < n:
-                nearest[f] = f
-        # Descending: children have higher ids and settle first. A reversed list
-        # iterator reads each item when it gets there, so it sees what was set.
+            nearest[f] = f
+        # Descending: children have higher ids and settle first, so each state's
+        # nearest is set when it is read. A reversed list iterator reads each item
+        # when it gets there, so it sees what was set.
         for final, t in zip(reversed(nearest), reversed(parent)):
-            if final is not None and t is not None:
+            if t is not None:  # None only for the initial state
                 best = nearest[t[0]]
                 if best is None:
                     nearest[t[0]] = final
@@ -194,15 +200,14 @@ class BehaviorDfa(_DfaFields):
 
         The one walk up the parent links: every other path is a slice of one.
         """
+        if not 0 <= state < self.state_count:
+            raise ValueError(f"state {state} outside 0..{self.state_count - 1}")
         parent = self._tables[1]
         path: list[Transition] = []
-        current = state
-        while current:
-            t = parent[current]
-            if t is None:
-                raise InternalInvariantError(f"state {state} is not reachable from state 0")
+        while state:
+            t = parent[state]
             path.append(t)
-            current = t[0]
+            state = t[0]
         path.reverse()
         return tuple(path)
 
@@ -532,13 +537,18 @@ def _model(doc) -> BehaviorDfa:
         catalog_fingerprint=fingerprint,
         pattern_count=pattern_count,
     )
-    issues = validate(dfa)
+    _refuse_unsound(dfa)
+    return dfa
+
+
+def _refuse_unsound(dfa: BehaviorDfa) -> None:
+    """Raise ModelFormatError, naming the first issues, unless validate() passes `dfa`."""
+    issues = dfa._issues
     if issues:
         listing = "; ".join(f"{i.kind}: {i.detail}" for i in issues[:_LISTED_ISSUES])
         if len(issues) > _LISTED_ISSUES:
             listing += f"; and {len(issues) - _LISTED_ISSUES} more"
         raise ModelFormatError(f"model violates structural invariants: {listing}")
-    return dfa
 
 
 def _transition_hook(obj: dict):
@@ -579,8 +589,10 @@ def export_dot(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> str:
 
     Finals are double-circled, the initial state gets an entry arrow, and
     edges are labeled "name (id, w=weight)". Output is byte-stable: nodes
-    in state order, edges sorted by (source, behavior).
+    in state order, edges sorted by (source, behavior). The catalog must be
+    the one the model was built with; an id it lacks is named "behavior <id>".
     """
+    check_catalog(dfa, catalog)
     lines = [
         "digraph behavior_dfa {",
         "  rankdir=LR;",

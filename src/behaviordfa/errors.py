@@ -84,19 +84,15 @@ class PatternError(EngineError):
 
 
 class ModelFormatError(EngineError):
-    """A serialized model could not be loaded."""
+    """A serialized model could not be loaded, or a model is no sound trie.
+
+    A model's lookup index raises it too, with the loader's message, for a
+    hand-built model that validate() flags.
+    """
 
 
 class CatalogMismatchError(EngineError):
     """The supplied catalog is not the one the model was built with."""
-
-
-class NoFinalReachableError(EngineError):
-    """No final state is forward-reachable from the given state.
-
-    Cannot happen for models that pass validate(); guards ones built
-    directly from a BehaviorDfa constructor.
-    """
 
 
 class InternalInvariantError(Exception):

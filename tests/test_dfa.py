@@ -2,20 +2,15 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import random
 import re
-import subprocess
-import sys
-import textwrap
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from behaviordfa.classify import match_prefix
+from behaviordfa.classify import classify, match_prefix, nearest_final
 from behaviordfa.dfa import (
     BehaviorDfa,
     Transition,
@@ -35,6 +30,7 @@ from behaviordfa.errors import (
     UnknownBehaviorError,
 )
 from behaviordfa import catalog as catalog_module
+from behaviordfa import dfa as dfa_module
 from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec
 
 from helpers import PATTERN_A, PATTERN_B, make_trace
@@ -63,6 +59,49 @@ SEED_TABLE = {
 
 def table_of(dfa: BehaviorDfa):
     return {(t.source, t.behavior): (t.target, t.weight) for t in dfa.transitions}
+
+
+def unsound(state_count, edges, finals):
+    """A hand-built model: only the constructor makes one that validate() flags."""
+    return BehaviorDfa(state_count, [Transition(*t) for t in edges], finals, "0" * 64, 1)
+
+
+# Hand-built models that are no sound trie, each with the kinds of issue validate() finds.
+BACK_EDGE_MID_PATH = [(0, 7, 2, 3), (2, 5, 1, 3), (1, 3, 3, 3), (3, 1, 4, 2)]
+UNSOUND = {
+    "edge-leaving-the-model": (unsound(2, [(0, 1, 1, 2), (0, 2, 9, 1)], {1}), ["state-bounds"]),
+    "finals-outside-the-model": (
+        unsound(3, [(0, 7, 1, 3), (1, 5, 2, 3)], {-1, 2, 3}), ["state-bounds", "state-bounds"]
+    ),
+    "back-edge-from-the-final": (
+        unsound(3, [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2)], {2}), ["not-a-trie"]
+    ),
+    "back-edge-beside-a-forward-edge": (
+        unsound(4, [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2), (2, 11, 3, 5)], {3}),
+        ["not-a-trie"],
+    ),
+    "two-edges-on-one-behavior": (
+        unsound(3, [(0, 7, 2, 4), (0, 7, 1, 3)], {1, 2}), ["determinism"]
+    ),
+    "no-final": (unsound(2, [(0, 7, 1, 3)], ()), ["no-finals", "no-final-ahead"]),
+    "final-entered-only-by-a-back-edge": (
+        unsound(3, [(0, 7, 2, 3), (2, 5, 1, 3)], {1}),
+        ["not-a-trie", "unreachable-state", "unreachable-final", "no-final-ahead"],
+    ),
+    "back-edge-above-the-final": (
+        unsound(5, BACK_EDGE_MID_PATH, {4}),
+        ["not-a-trie", "unreachable-state", "no-final-ahead"],
+    ),
+    "back-edge-into-the-final": (
+        unsound(5, BACK_EDGE_MID_PATH, {1}),
+        ["not-a-trie", "unreachable-state", "unreachable-final", "no-final-ahead",
+         "no-final-ahead"],
+    ),
+    "zero-weight": (unsound(2, [(0, 7, 1, 0)], {1}), ["bad-weight"]),
+    "self-loop-on-another-behavior": (
+        unsound(2, [(0, 7, 1, 3), (1, 5, 1, 3)], {1}), ["bad-self-loop"]
+    ),
+}
 
 
 class TestTransition:
@@ -251,51 +290,45 @@ class TestIndex:
             assert out[t.source][t.behavior] == (t.target - t.source, t.weight)
         assert 5 not in out[3]
 
-    def test_a_transition_leaving_the_model_is_not_indexed(self):
-        # Only a hand-built model has one; validate() rejects it on load.
-        inside, outside = Transition(0, 1, 1, 2), Transition(0, 2, 9, 1)
-        dfa = BehaviorDfa(2, (inside, outside), frozenset({1}), "0" * 64, 1)
-        assert dfa.path_from_initial(1) == (inside,)
-        assert dfa._tables[0][0] == {1: (1, 2)}
-        walk = match_prefix(dfa, make_trace([2]))
-        assert (walk.end_state, walk.consumed_steps, walk.diverged) == (0, 0, True)
+    @pytest.mark.parametrize("dfa, kinds", UNSOUND.values(), ids=UNSOUND.keys())
+    def test_a_model_validate_flags_is_refused_with_its_files_message(self, dfa, kinds):
+        assert [issue.kind for issue in validate(dfa)] == kinds
+        with pytest.raises(ModelFormatError) as loading:
+            deserialize(serialize(dfa))
+        assert str(loading.value).startswith("model violates structural invariants: ")
+        trace = make_trace([7, 5, 1, 3])
+        for read in (
+            lambda: classify(dfa, trace),
+            lambda: match_prefix(dfa, trace),
+            lambda: nearest_final(dfa, 0),
+            lambda: dfa.path_from_initial(0),
+        ):
+            with pytest.raises(ModelFormatError) as raised:
+                read()
+            assert str(raised.value) == str(loading.value)
 
-    def test_a_final_outside_the_model_is_no_nearest_final(self):
-        # Only a hand-built model has one; validate() rejects it on load.
-        edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3)]
-        dfa = BehaviorDfa(3, edges, {-1, 2, 3}, "0" * 64, 1)
-        assert dfa._tables[3] == [2, 2, 2]
+    def test_validate_runs_once_per_model(self, seed_dfa, seed_patterns, catalog, monkeypatch):
+        calls = []
+        original = dfa_module.validate
+        monkeypatch.setattr(dfa_module, "validate", lambda dfa: calls.append(dfa) or original(dfa))
+        trace = make_trace([7, 5])
+        loaded = deserialize(serialize(seed_dfa))
+        classify(loaded, trace)
+        classify(loaded, trace)
+        assert len(calls) == 1 and calls[0] is loaded
+        built = build_dfa(seed_patterns, catalog)
+        assert len(calls) == 1  # building validates nothing; the first classify does
+        classify(built, trace)
+        classify(built, trace)
+        assert len(calls) == 2 and calls[1] is built
 
-    def test_a_back_edge_is_no_parent_link(self):
-        # Only a hand-built model has one: validate() rejects the edge 2->1.
-        edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)]
-        assert [i.kind for i in validate(BehaviorDfa(3, edges, {2}, "0" * 64, 1))] == ["not-a-trie"]
-        # Classify [7] and read the matched path and the report record in a
-        # child process, so a path that loops fails the test instead of
-        # hanging it; the address-space cap stops a runaway path early.
-        reads = textwrap.dedent("""
-            import json, resource
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
-            from behaviordfa.classify import classification_record, classify
-            from behaviordfa.dfa import BehaviorDfa, Transition
-            from behaviordfa.ingest import BehaviorTrace
-            edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)]
-            dfa = BehaviorDfa(3, edges, {2}, "0" * 64, 1)
-            outcome = classify(dfa, BehaviorTrace("t", ((7,),)))
-            print(json.dumps(outcome.match.matched_transitions))
-            print(json.dumps(classification_record(outcome)))
-        """)
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", reads], env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        matched, record = map(json.loads, proc.stdout.splitlines())
-        assert matched == [[0, 7, 1, 3]]
-        assert record["matched_behaviors"] == [7] and record["nearest_final_state"] == 2
-        assert record["denominator_path_behaviors"] == [7, 5]
-        assert record["match_percentage"] == "50"
+    def test_a_state_outside_the_model_has_no_path(self, catalog):
+        dfa = build_dfa([make_trace([7, 5, 1, 3, 11])], catalog)
+        assert dfa.state_count == 6
+        for state in (-1, 6):
+            with pytest.raises(ValueError) as raised:
+                dfa.path_from_initial(state)
+            assert str(raised.value) == f"state {state} outside 0..5"
 
 
 def offset_tables(dfa: BehaviorDfa) -> list[dict]:
@@ -359,25 +392,6 @@ class TestOutTables:
         # Above the model it keeps, the load holds the text and little else, never
         # the file's bytes beside it: holding both read about 2.0 times the size.
         assert peak - kept < 1.6 * size
-
-    def test_a_back_edge_is_followed(self):
-        # Only a hand-built model has one: validate() rejects the edge 2->1.
-        edges = [Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2),
-                 Transition(2, 11, 3, 5)]
-        dfa = BehaviorDfa(4, edges, {3}, "0" * 64, 1)
-        assert dfa._tables[0][2] == {1: (-1, 2), 11: (1, 5)}
-        looped = match_prefix(dfa, make_trace([7, 5, 1, 5, 1]))
-        assert (looped.end_state, looped.consumed_steps, looped.diverged) == (1, 5, False)
-        reached = match_prefix(dfa, make_trace([7, 5, 1, 5, 11]))
-        assert (reached.end_state, reached.reached_final) == (3, True)
-
-    def test_of_two_edges_on_one_behavior_the_last_wins(self):
-        # Only a hand-built model has two: validate() flags them as non-deterministic.
-        first, last = Transition(0, 7, 1, 3), Transition(0, 7, 2, 4)
-        dfa = BehaviorDfa(3, (last, first), frozenset({1, 2}), "0" * 64, 1)
-        assert dfa.transitions[-1] == last
-        assert dfa._tables[0][0] == {7: (2, 4)}
-        assert match_prefix(dfa, make_trace([7])).end_state == 2
 
 
 class TestValidate:
@@ -886,8 +900,13 @@ class TestExportDot:
         assert export_dot(seed_dfa, catalog) == export_dot(seed_dfa, catalog)
 
     def test_unknown_behavior_gets_a_fallback_name(self):
-        catalog = BehaviorCatalog([BehaviorSpec(7, "Add Event Handler", 3)])
-        dfa = build_dfa([make_trace([7])], catalog)
+        # Only a hand-built model carries an id its own catalog lacks.
         slim = BehaviorCatalog([BehaviorSpec(1, "Find DOM Element(s)", 2)])
+        dfa = BehaviorDfa(2, [Transition(0, 7, 1, 3)], {1}, slim.fingerprint(), 1)
         dot = export_dot(dfa, slim)
         assert "behavior 7 (7, w=3)" in dot
+
+    def test_another_catalog_is_refused(self, seed_dfa):
+        other = BehaviorCatalog([BehaviorSpec(7, "Add Event Handler", 3)])
+        with pytest.raises(CatalogMismatchError):
+            export_dot(seed_dfa, other)

@@ -239,7 +239,7 @@ FORWARD_ON_THE_ENTRY_BEHAVIOR = BehaviorDfa(
         Transition(2, 5, 3, 3),
     ],
     {3},
-    default_catalog().fingerprint,
+    default_catalog().fingerprint(),
     1,
 )
 
