@@ -39,6 +39,9 @@ DEFAULT_ENTRIES: tuple[BehaviorSpec, ...] = (
     BehaviorSpec(11, "Send Data", 5),
 )
 
+# fingerprint() of the stock catalog, so that building with it never imports hashlib.
+_DEFAULT_FINGERPRINT = "fc897b951b9c5b9ddef4c80c3a3f43974d78288785bc3417285d68daab9eca0a"
+
 _ENTRY_KEYS = {"id", "name", "weight"}
 
 
@@ -111,7 +114,7 @@ class BehaviorCatalog:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical entry list; identifies the weight table."""
         if self._fingerprint is None:
-            import hashlib  # only a fingerprint needs it; most classify runs never ask
+            import hashlib  # only a fingerprint needs it; most runs never ask
 
             canon = json.dumps(
                 [{"id": s.id, "name": s.name, "weight": s.weight} for s in self.entries],
@@ -128,8 +131,10 @@ class BehaviorCatalog:
 
 
 def default_catalog() -> BehaviorCatalog:
-    """The stock catalog shipped with the package."""
-    return BehaviorCatalog(DEFAULT_ENTRIES)
+    """The stock catalog shipped with the package, its fingerprint already known."""
+    catalog = BehaviorCatalog(DEFAULT_ENTRIES)
+    catalog._fingerprint = _DEFAULT_FINGERPRINT
+    return catalog
 
 
 def load_catalog(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorCatalog:

@@ -57,6 +57,15 @@ class Verdict(enum.Enum):
     MALIGN = "malign"
 
 
+# Bound once. Under CPython 3.11 an enum member read off its class, a
+# member's `.value` and `tuple.__new__` each cost several module-global
+# reads, so the per-trace and per-record functions below read these names.
+# A verdict's text is read as `_value_`, the plain attribute behind `.value`.
+_BENIGN, _PARTIAL, _MALIGN = Verdict.BENIGN, Verdict.PARTIALLY_MALIGN, Verdict.MALIGN
+# tuple.__new__ skips a named tuple's Python-level constructor.
+_new = tuple.__new__
+
+
 def _compared_by(*fields: str):
     """Give a result tuple the equality, hash and repr of its public fields.
 
@@ -228,8 +237,7 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
             if state in finals:
                 reached = True
                 break
-    # tuple.__new__ skips the named tuple's Python-level constructor.
-    return tuple.__new__(MatchResult, (state, consumed, diverged, reached, dfa))
+    return _new(MatchResult, (state, consumed, diverged, reached, dfa))
 
 
 def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
@@ -248,7 +256,7 @@ def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
     _, _, prefix, nearest = dfa._tables
     final = nearest[from_state]
-    return tuple.__new__(NearestFinal, (final, prefix[final], from_state, dfa))
+    return _new(NearestFinal, (final, prefix[final], from_state, dfa))
 
 
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
@@ -266,11 +274,11 @@ def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
 def _percent_pair(item: Classification) -> tuple[int, int]:
     """The item's exact percentage as the pair (numerator, denominator) in lowest terms."""
     verdict = item.verdict
-    if verdict is Verdict.PARTIALLY_MALIGN:
+    if verdict is _PARTIAL:
         num, den = 100 * item.match.matched_weight, item.nearest.denominator_weight
         common = gcd(num, den)
         return num // common, den // common
-    return (100, 1) if verdict is Verdict.MALIGN else (0, 1)
+    return (100, 1) if verdict is _MALIGN else (0, 1)
 
 
 def _format_pair(num: int, den: int) -> str:
@@ -301,14 +309,12 @@ def classify(dfa: BehaviorDfa, trace: BehaviorTrace) -> Classification:
     match = match_prefix(dfa, trace)
     end = match.end_state
     if match.reached_final:
-        verdict = Verdict.MALIGN
+        verdict = _MALIGN
     elif end:  # weights are positive, so only a walk that stayed at state 0 matched nothing
-        verdict = Verdict.PARTIALLY_MALIGN
+        verdict = _PARTIAL
     else:
-        return tuple.__new__(
-            Classification, (trace.trace_id, trace.label, Verdict.BENIGN, match, None)
-        )
-    return tuple.__new__(
+        return _new(Classification, (trace.trace_id, trace.label, _BENIGN, match, None))
+    return _new(
         Classification, (trace.trace_id, trace.label, verdict, match, nearest_final(dfa, end))
     )
 
@@ -351,7 +357,7 @@ class BatchSummary:
             self.record_errors += 1
             return
         verdict = item.verdict
-        if verdict is Verdict.PARTIALLY_MALIGN:
+        if verdict is _PARTIAL:
             key = _percent_pair(item)
             self._histogram[key] = self._histogram.get(key, 0) + 1
         if item.label is not None:
@@ -424,23 +430,24 @@ def _pair_key(num: int, den: int) -> str:
     return f"{num}/{den}"
 
 
-def _path_ids(item: Classification) -> tuple[list[int], int]:
-    """The ids on the path to the nearest final (else the end), and how many are matched."""
+def _path(item: Classification) -> tuple[tuple[Transition, ...], int]:
+    """The path to the nearest final (else the end), and how many of its edges are matched."""
     end, nearest = item.match.end_state, item.nearest
     top = end if nearest is None else nearest.final_state
     path = item.match.model.path_from_initial(top)
-    return [t[1] for t in path], _split(path, end, top)
+    return path, _split(path, end, top)
 
 
 def classification_record(item: Classification) -> dict:
     """JSON-ready record for one classified trace; JsonReportWriter writes it from a template."""
     num, den = _percent_pair(item)
-    ids, matched = _path_ids(item)
+    path, matched = _path(item)
+    ids = [t[1] for t in path]
     nearest = item.nearest
     return {
         "id": item.trace_id,
         "label": item.label,
-        "verdict": item.verdict.value,
+        "verdict": item.verdict._value_,
         "match_percentage": _format_pair(num, den),
         "match_fraction": {"num": num, "den": den},
         "end_state": item.match.end_state,
@@ -451,13 +458,21 @@ def classification_record(item: Classification) -> dict:
 
 
 # JsonReportWriter's lines. Strings go in through the encoder that json.dumps uses, and a
-# list of int ids as its str(), which is the text json.dumps writes for it.
+# list of int ids as their str()s joined by ", ", which is the text json.dumps writes for it.
 _RECORD = (
     '{"id": %s, "label": %s, "verdict": "%s", "match_percentage": "%s", '
-    '"match_fraction": {"num": %d, "den": %d}, "end_state": %d, "matched_behaviors": %s, '
+    '"match_fraction": {"num": %d, "den": %d}, "end_state": %d, "matched_behaviors": [%s], '
     '"nearest_final_state": %s, "denominator_path_behaviors": %s}\n'
 )
 _ERROR_RECORD = '{"error": %s, "line": %d}\n'
+
+
+class _IdText(dict):
+    """Behavior id -> its str(), each made on the id's first read."""
+
+    def __missing__(self, behavior: int) -> str:
+        text = self[behavior] = str(behavior)
+        return text
 
 
 class JsonReportWriter:
@@ -469,13 +484,16 @@ class JsonReportWriter:
 
     def __init__(self, out: IO[str]):
         self._out = out
+        self._id_text = _IdText()  # an id is turned into text once per writer
 
     def record(self, item: Union[Classification, RecordError]) -> None:
         if isinstance(item, RecordError):
             self._out.write(_ERROR_RECORD % (_quoted(item.reason), item.line))
             return
-        ids, matched = _path_ids(item)
-        path = str(ids)
+        path, matched = _path(item)
+        id_text = self._id_text
+        texts = [id_text[t[1]] for t in path]
+        path_text = ", ".join(texts)
         nearest, label = item.nearest, item.label
         num, den = _percent_pair(item)
         self._out.write(
@@ -483,14 +501,14 @@ class JsonReportWriter:
             % (
                 _quoted(item.trace_id),
                 "null" if label is None else _quoted(label),
-                item.verdict.value,
+                item.verdict._value_,
                 _format_pair(num, den),
                 num,
                 den,
                 item.match.end_state,
-                path if matched == len(ids) else ids[:matched],
+                path_text if matched == len(texts) else ", ".join(texts[:matched]),
                 "null" if nearest is None else nearest.final_state,
-                "null" if nearest is None else path,
+                "null" if nearest is None else f"[{path_text}]",
             )
         )
 
@@ -511,7 +529,7 @@ class CsvReportWriter:
         if isinstance(item, RecordError):
             return
         self._writer.writerow(
-            [item.trace_id, item.verdict.value, item.percent_display, item.label or ""]
+            [item.trace_id, item.verdict._value_, item.percent_display, item.label or ""]
         )
 
     def finish(self, summary: BatchSummary) -> None:

@@ -215,7 +215,8 @@ class BehaviorDfa(_DfaFields):
 def build_dfa(patterns: Iterable[BehaviorTrace], catalog: BehaviorCatalog) -> BehaviorDfa:
     """Build the automaton from known-malicious sequences.
 
-    Every pattern must pass check_pattern(). State numbering is deterministic:
+    Every pattern must pass check_pattern(); the first that does not raises its
+    PatternError. State numbering is deterministic:
     0 is initial, then states in order of first creation, patterns in input order.
     """
     pats = list(patterns)
@@ -277,13 +278,16 @@ def add_patterns(
 def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
     """`base` grown by `patterns`, inserted in order; new states are numbered on from base's.
 
-    Each pattern passes check_pattern(), then its steps are read once. A step equal to
+    Each pattern's steps are read once. A pattern that check_pattern() refuses raises its
+    PatternError before any other error, yet only the constant-time checks, label and
+    emptiness, run up front: a step not of one id fails to unpack, and that, like an id
+    the catalog lacks, runs the full check_pattern() before it raises. A step equal to
     the one before gives the current state its self-loop, unless base or this call has
     one already; any other step takes its weight from an id-to-weight dict made once per
-    call (an id the catalog lacks raises here), then follows its edge or makes a new
-    state. Base is never copied: its edges are found by bisection in its sorted edges,
-    and only new edges go in a dict, so the cost is O(pattern * log model) lookups plus
-    one copy and merge of the sorted edges. Growing the empty model never bisects.
+    call, then follows its edge or makes a new state. Base is never copied: its edges
+    are found by bisection in its sorted edges, and only new edges go in a dict, so the
+    cost is O(pattern * log model) lookups plus one copy and merge of the sorted edges.
+    Growing the empty model never bisects.
     """
     weight_of = {spec.id: spec.weight for spec in catalog.entries}.get
     edges = base.transitions
@@ -292,36 +296,45 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
     finals = set(base.finals)
     count = base.state_count
     for pattern in patterns:
-        check_pattern(pattern)  # before any of its ids is looked up
+        steps = pattern.steps
+        if not steps or pattern.label == "benign":
+            check_pattern(pattern)  # raises
         state = 0
         last = None
-        for (behavior,) in pattern.steps:
-            if behavior == last:
-                key = (state, behavior)
-                if key not in added and (state >= searched or _edge_in(edges, key) is None):
-                    # tuple.__new__ skips the named tuple's Python-level constructor.
-                    added[key] = tuple.__new__(Transition, (state, behavior, state, weight))
-                continue
-            weight = weight_of(behavior)
-            if weight is None:
-                raise UnknownBehaviorError(behavior, context=f"pattern {brief(pattern.trace_id)}")
-            key = (state, behavior)
-            existing = added.get(key)
-            if existing is None and state < searched:
-                existing = _edge_in(edges, key)
-            if existing is None:
-                nxt = count
-                count += 1
-                added[key] = tuple.__new__(Transition, (state, behavior, nxt, weight))
-            else:
-                nxt = existing.target
-                if nxt == state:
-                    # A state loops only on the behavior that enters it, which is `last`.
-                    raise InternalInvariantError(
-                        f"adjacent runs share behavior {behavior} at state {state}"
+        try:
+            for (behavior,) in steps:
+                if behavior == last:
+                    key = (state, behavior)
+                    if key not in added and (state >= searched or _edge_in(edges, key) is None):
+                        # tuple.__new__ skips the named tuple's Python-level constructor.
+                        added[key] = tuple.__new__(Transition, (state, behavior, state, weight))
+                    continue
+                weight = weight_of(behavior)
+                if weight is None:
+                    check_pattern(pattern)  # a later step of several ids is named first
+                    raise UnknownBehaviorError(
+                        behavior, context=f"pattern {brief(pattern.trace_id)}"
                     )
-            state = nxt
-            last = behavior
+                key = (state, behavior)
+                existing = added.get(key)
+                if existing is None and state < searched:
+                    existing = _edge_in(edges, key)
+                if existing is None:
+                    nxt = count
+                    count += 1
+                    added[key] = tuple.__new__(Transition, (state, behavior, nxt, weight))
+                else:
+                    nxt = existing.target
+                    if nxt == state:
+                        # A state loops only on the behavior that enters it, which is `last`.
+                        raise InternalInvariantError(
+                            f"adjacent runs share behavior {behavior} at state {state}"
+                        )
+                state = nxt
+                last = behavior
+        except (ValueError, TypeError):  # a step that does not unpack to one id, among others
+            check_pattern(pattern)  # raises the step's PatternError if that is the cause
+            raise
         finals.add(state)
     return BehaviorDfa(
         state_count=count,

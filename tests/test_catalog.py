@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec, default_catalog, load_catalog
+from behaviordfa.catalog import (
+    DEFAULT_ENTRIES,
+    BehaviorCatalog,
+    BehaviorSpec,
+    default_catalog,
+    load_catalog,
+)
 from behaviordfa.errors import CatalogError, UnknownBehaviorError
 
 
@@ -36,6 +42,18 @@ class TestDefaultCatalog:
 
     def test_every_weight_is_at_least_one(self, catalog):
         assert all(s.weight >= 1 for s in catalog.entries)
+
+    def test_the_stored_fingerprint_is_the_one_the_entries_hash_to(self):
+        import hashlib
+
+        canon = json.dumps(
+            [{"id": s.id, "name": s.name, "weight": s.weight} for s in sorted(DEFAULT_ENTRIES)],
+            separators=(",", ":"),
+            ensure_ascii=True,
+        )
+        expected = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        assert default_catalog().fingerprint() == expected
+        assert BehaviorCatalog(DEFAULT_ENTRIES).fingerprint() == expected
 
 
 class TestLoadCatalog:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 from fractions import Fraction
@@ -592,3 +593,33 @@ class TestReportWriters:
             )
             expected.append(json.dumps(doc, ensure_ascii=True) + "\n")
         assert out.getvalue().splitlines(keepends=True) == expected
+
+    # About 2 s: 200 examples, as above. Ids and labels are any text, so commas,
+    # quotes, newlines and non-ASCII all reach the writer.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(
+            st.tuples(ANY_TEXT, st.none() | ANY_TEXT)
+            | st.builds(RecordError, st.integers(1, 10**9), ANY_TEXT),
+            max_size=10,
+        ),
+    )
+    def test_each_row_is_the_row_csv_writer_writes(self, catalog, rng, drawn):
+        dfa = build_dfa(random_patterns(rng, (1, 5, 7, 11)), catalog)
+        items = [
+            item if isinstance(item, RecordError)
+            else make_trace(random_trace_steps(rng, (1, 5, 7, 11)), *item)
+            for item in drawn
+        ]
+        out, expected = io.StringIO(), io.StringIO()
+        writer = CsvReportWriter(out)
+        rows = csv.writer(expected, lineterminator="\n")
+        rows.writerow(["id", "verdict", "percentage", "label"])
+        for item in classify_stream(dfa, items):
+            writer.record(item)
+            if not isinstance(item, RecordError):  # record errors are no rows
+                rows.writerow(
+                    [item.trace_id, item.verdict.value, item.percent_display, item.label or ""]
+                )
+        assert out.getvalue() == expected.getvalue()

@@ -805,6 +805,34 @@ class TestCliContract:
         assert proc.stdout == "[]\n0 False\n"
         assert '"verdict": "partially_malign"' in report.read_text(encoding="utf-8")
 
+    def test_build_and_add_with_the_built_in_catalog_leave_hashlib_unloaded(
+        self, tmp_path, pattern_file
+    ):
+        # The stock catalog's fingerprint is stored; only another catalog is hashed.
+        more = write_jsonl(tmp_path / "more.jsonl", [{"id": "c", "steps": [7, 3, 3, 11]}])
+        catalog = tmp_path / "catalog.json"
+        catalog.write_bytes(default_catalog().to_json())
+        script = (
+            "import sys, behaviordfa.cli\n"
+            "patterns, more, model, catalog = sys.argv[1:]\n"
+            "main = behaviordfa.cli.main\n"
+            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model]),"
+            " 'hashlib' in sys.modules)\n"
+            "print(main(['--quiet', 'add', '--model', model, '--patterns', more]),"
+            " 'hashlib' in sys.modules)\n"
+            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model,"
+            " '--catalog', catalog]), 'hashlib' in sys.modules)\n"
+        )
+        paths = (pattern_file, more, tmp_path / "model.json", catalog)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *map(str, paths)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n0 False\n0 True\n"
+
 
 def _module_cli(*args, **kwargs):
     """`python -m behaviordfa ARGS`, which goes through cli.run(), as a completed process."""

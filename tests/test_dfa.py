@@ -183,6 +183,18 @@ class TestBuild:
         with pytest.raises(PatternError, match=r"'both': step 1 holds 2 behaviors"):
             add_patterns(seed_dfa, [pattern], catalog)
 
+    def test_an_unknown_id_before_a_bad_step_still_names_the_step(self, catalog, seed_dfa):
+        # The walk meets id 99 first; the PatternError for step 2 is still what is raised.
+        pattern = make_trace([7, 99, [5, 1]], "late")
+        with pytest.raises(PatternError, match=r"^pattern 'late': step 2 holds 2 behaviors"):
+            build_dfa([pattern], catalog)
+        with pytest.raises(PatternError, match=r"^pattern 'late': step 2 holds 2 behaviors"):
+            add_patterns(seed_dfa, [pattern], catalog)
+
+    def test_a_step_of_no_id_is_named(self, catalog):
+        with pytest.raises(PatternError, match=r"^pattern 'void': step 1 holds 0 behaviors"):
+            build_dfa([make_trace([7, []], "void")], catalog)
+
     def test_a_benign_pattern_is_refused_by_build_and_add(self, catalog, seed_dfa):
         pattern = make_trace([7], "calm", label="benign")
         expected = (
