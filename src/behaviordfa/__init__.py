@@ -25,7 +25,6 @@ from .dfa import (
     BehaviorDfa,
     Transition,
     ValidationIssue,
-    add_pattern,
     add_patterns,
     build_dfa,
     deserialize,
@@ -75,7 +74,6 @@ __all__ = [
     "UnknownBehaviorError",
     "ValidationIssue",
     "Verdict",
-    "add_pattern",
     "add_patterns",
     "build_dfa",
     "classification_record",

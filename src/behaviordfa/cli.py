@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
@@ -144,28 +144,23 @@ def _atomic_write(path: str, data: bytes) -> None:
     # Temp file in the target directory, then rename: an interrupted write
     # never leaves a half-written model behind. A symlink is written
     # through: the file it points to is the one replaced. It keeps the
-    # replaced file's mode, or takes the one open() gives a new file
-    # (mkstemp's is 0600).
-    import tempfile  # only model writes need it
-
+    # replaced file's mode, or takes the one open() gives a new file.
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode & 0o7777
     except FileNotFoundError:
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+        mode = None
+    tmp_path = os.path.join(os.path.dirname(target), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), mode)
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
             fh.write(data)
         os.replace(tmp_path, target)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp_path)
-        except OSError:
-            pass
         raise
 
 

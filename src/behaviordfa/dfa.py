@@ -17,17 +17,17 @@ transition is a named tuple (source, behavior, target, weight), so
 transitions sort, compare and unpack as plain tuples.
 
 Models are immutable values. build_dfa() grows the empty model by its
-patterns and add_pattern() grows a given model by one more (add_patterns()
-by a batch), along the same path, so the result is bit-for-bit what a full
-rebuild with the extended pattern list would produce, including state
-numbering. Growing never copies the base model: its edges are found by
-bisection in its sorted transitions, so an add costs O(patterns * log
-model) lookups plus one C-level copy and merge of the sorted edges,
-once per call however large the batch. The one per-state lookup
-index is built on first use, so build and add never pay for it, and only
-for a model that validate() passes. Each model asks validate() once and
-deserialize() reads that answer too, so a hand-built model that is no
-trie gets the loader's error, and no reader of the index guards against
+patterns and add_patterns() grows a given model by more, along the same
+path, so the result is bit-for-bit what a full rebuild with the extended
+pattern list would produce, including state numbering. Growing never
+copies the base model: its edges are found by bisection in its sorted
+transitions, so an add costs O(patterns * log model) lookups plus one
+C-level copy and merge of the sorted edges, once per call however large
+the batch. The one per-state lookup index is built on first use, so
+build and add never pay for it. Each model asks validate() once, and
+deserialize(), add_patterns() and the index all read that answer, so a
+hand-built model that is no trie gets the loader's error wherever it
+goes, and neither growing nor any reader of the index guards against
 one. Its out tables map a behavior to the edge's (target offset, weight)
 rather than to the edge, so the many states whose edges read the same
 that way, most of them the inner states of a chain, whose one edge goes
@@ -54,7 +54,6 @@ from typing import IO, Iterable, NamedTuple, NoReturn, Union
 from .catalog import BehaviorCatalog, _read_json, _read_text
 from .errors import (
     CatalogMismatchError,
-    InternalInvariantError,
     ModelFormatError,
     PatternError,
     UnknownBehaviorError,
@@ -253,24 +252,17 @@ def check_pattern(pattern: BehaviorTrace) -> None:
         raise PatternError(f"pattern {brief(pattern.trace_id)} is empty")
 
 
-def add_pattern(dfa: BehaviorDfa, pattern: BehaviorTrace, catalog: BehaviorCatalog) -> BehaviorDfa:
-    """Insert one more pattern, returning a new model.
-
-    The result is exactly what rebuilding from the original patterns plus
-    this one would produce, state numbering included. The catalog must be
-    the one the model was built with.
-    """
-    return add_patterns(dfa, [pattern], catalog)
-
-
 def add_patterns(
     dfa: BehaviorDfa, patterns: Iterable[BehaviorTrace], catalog: BehaviorCatalog
 ) -> BehaviorDfa:
-    """Insert a batch of patterns in order, growing the model once.
+    """Insert a batch of patterns in order, growing the model once; returns a new model.
 
-    The result is exactly what adding them one by one with add_pattern()
-    would produce, and so what a rebuild with the extended pattern list would.
+    The result is exactly what a rebuild with the extended pattern list would
+    produce, state numbering included. A model that validate() flags raises the
+    loader's ModelFormatError before the catalog is checked; validate() runs
+    once per model, so a loaded model pays nothing more.
     """
+    _refuse_unsound(dfa)
     check_catalog(dfa, catalog)
     return _grow(dfa, list(patterns), catalog)
 
@@ -278,16 +270,17 @@ def add_patterns(
 def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> BehaviorDfa:
     """`base` grown by `patterns`, inserted in order; new states are numbered on from base's.
 
-    Each pattern's steps are read once. A pattern that check_pattern() refuses raises its
-    PatternError before any other error, yet only the constant-time checks, label and
-    emptiness, run up front: a step not of one id fails to unpack, and that, like an id
-    the catalog lacks, runs the full check_pattern() before it raises. A step equal to
-    the one before gives the current state its self-loop, unless base or this call has
-    one already; any other step takes its weight from an id-to-weight dict made once per
-    call, then follows its edge or makes a new state. Base is never copied: its edges
-    are found by bisection in its sorted edges, and only new edges go in a dict, so the
-    cost is O(pattern * log model) lookups plus one copy and merge of the sorted edges.
-    Growing the empty model never bisects.
+    `base` is the empty model or one that validate() passes. Each pattern's steps are
+    read once. A pattern that check_pattern() refuses raises its PatternError before any
+    other error, yet only the constant-time checks, label and emptiness, run up front: a
+    step not of one id fails to unpack, and that, like an id the catalog lacks, runs the
+    full check_pattern() before it raises. A step equal to the one before gives the
+    current state its self-loop, of the weight of the edge into it, unless base or this
+    call has one already; any other step looks its id up in an id-to-weight dict made
+    once per call, then follows its edge or makes a new one of that weight. Base is
+    never copied: its edges are found by bisection in its sorted edges, and only new
+    edges go in a dict, so the cost is O(pattern * log model) lookups plus one copy and
+    merge of the sorted edges. Growing the empty model never bisects.
     """
     weight_of = {spec.id: spec.weight for spec in catalog.entries}.get
     edges = base.transitions
@@ -320,17 +313,11 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
                 if existing is None and state < searched:
                     existing = _edge_in(edges, key)
                 if existing is None:
-                    nxt = count
+                    added[key] = tuple.__new__(Transition, (state, behavior, count, weight))
+                    state = count
                     count += 1
-                    added[key] = tuple.__new__(Transition, (state, behavior, nxt, weight))
-                else:
-                    nxt = existing.target
-                    if nxt == state:
-                        # A state loops only on the behavior that enters it, which is `last`.
-                        raise InternalInvariantError(
-                            f"adjacent runs share behavior {behavior} at state {state}"
-                        )
-                state = nxt
+                else:  # never a self-loop: a sound state loops only on `last`, which enters it
+                    _, _, state, weight = existing  # a loop on `state` copies this weight
                 last = behavior
         except (ValueError, TypeError):  # a step that does not unpack to one id, among others
             check_pattern(pattern)  # raises the step's PatternError if that is the cause

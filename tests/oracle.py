@@ -206,7 +206,8 @@ def oracle_grow(base: BehaviorDfa, patterns, catalog) -> BehaviorDfa:
             if length > 1:
                 loop_key = (nxt, behavior)
                 if loop_key not in transitions:
-                    transitions[loop_key] = Transition(nxt, behavior, nxt, weight)
+                    # A loop copies its entry, whose weight a file may set apart from the catalog's.
+                    transitions[loop_key] = Transition(nxt, behavior, nxt, transitions[key].weight)
             state = nxt
         finals.add(state)
     return BehaviorDfa(

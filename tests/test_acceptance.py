@@ -17,7 +17,7 @@ from pathlib import Path
 from behaviordfa.catalog import default_catalog
 from behaviordfa.classify import Verdict, classify, nearest_final
 from behaviordfa.cli import main
-from behaviordfa.dfa import add_pattern, build_dfa, deserialize, serialize
+from behaviordfa.dfa import add_patterns, build_dfa, deserialize, serialize
 from behaviordfa.ingest import scan_traces
 
 from helpers import PATTERN_A, PATTERN_B, make_trace, run_batch
@@ -187,8 +187,8 @@ def test_criterion_6_structural_properties():
             for _ in range(rng.randint(2, 6))
         ]
         patterns = [make_trace(b, trace_id=f"p{i}") for i, b in enumerate(bodies)]
-        grown = add_pattern(
-            build_dfa(patterns[:-1], catalog), patterns[-1], catalog
+        grown = add_patterns(
+            build_dfa(patterns[:-1], catalog), [patterns[-1]], catalog
         )
         assert grown == build_dfa(patterns, catalog)
 

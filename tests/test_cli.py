@@ -294,11 +294,15 @@ class TestAdd:
         assert after.finals == before.finals
         assert after.pattern_count == before.pattern_count + 2
 
-    def test_add_keeps_the_mode_of_the_model(self, tmp_path, model_file, pattern_file, umask_022):
-        os.chmod(model_file, 0o640)
+    # Under umask 022 a new file gets 0o644: a replaced model that took it fails each case.
+    @pytest.mark.parametrize("mode", [0o640, 0o600, 0o666], ids=oct)
+    def test_add_keeps_the_mode_of_the_model(
+        self, tmp_path, model_file, pattern_file, umask_022, mode
+    ):
+        os.chmod(model_file, mode)
         code = main(["--quiet", "add", "--model", str(model_file), "--patterns", str(pattern_file)])
         assert code == 0
-        assert file_mode(model_file) == 0o640
+        assert file_mode(model_file) == mode
 
     def test_add_through_a_symlink_updates_the_file_it_points_to(
         self, tmp_path, model_file, capsys
@@ -809,6 +813,7 @@ class TestCliContract:
         self, tmp_path, pattern_file
     ):
         # The stock catalog's fingerprint is stored; only another catalog is hashed.
+        # Writing the model names its temp file without tempfile.
         more = write_jsonl(tmp_path / "more.jsonl", [{"id": "c", "steps": [7, 3, 3, 11]}])
         catalog = tmp_path / "catalog.json"
         catalog.write_bytes(default_catalog().to_json())
@@ -816,12 +821,12 @@ class TestCliContract:
             "import sys, behaviordfa.cli\n"
             "patterns, more, model, catalog = sys.argv[1:]\n"
             "main = behaviordfa.cli.main\n"
+            "loaded = lambda: ('hashlib' in sys.modules, 'tempfile' in sys.modules)\n"
             "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model]),"
-            " 'hashlib' in sys.modules)\n"
-            "print(main(['--quiet', 'add', '--model', model, '--patterns', more]),"
-            " 'hashlib' in sys.modules)\n"
+            " *loaded())\n"
+            "print(main(['--quiet', 'add', '--model', model, '--patterns', more]), *loaded())\n"
             "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model,"
-            " '--catalog', catalog]), 'hashlib' in sys.modules)\n"
+            " '--catalog', catalog]), *loaded())\n"
         )
         paths = (pattern_file, more, tmp_path / "model.json", catalog)
         proc = subprocess.run(
@@ -831,7 +836,7 @@ class TestCliContract:
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0 False\n0 False\n0 True\n"
+        assert proc.stdout == "0 False False\n0 False False\n0 True False\n"
 
 
 def _module_cli(*args, **kwargs):

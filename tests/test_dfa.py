@@ -14,7 +14,6 @@ from behaviordfa.classify import classify, match_prefix, nearest_final
 from behaviordfa.dfa import (
     BehaviorDfa,
     Transition,
-    add_pattern,
     add_patterns,
     build_dfa,
     deserialize,
@@ -24,7 +23,6 @@ from behaviordfa.dfa import (
 )
 from behaviordfa.errors import (
     CatalogMismatchError,
-    InternalInvariantError,
     ModelFormatError,
     PatternError,
     UnknownBehaviorError,
@@ -220,11 +218,11 @@ class TestBuild:
 class TestAddPattern:
     def test_incremental_add_equals_rebuild(self, catalog, seed_patterns):
         base = build_dfa(seed_patterns[:1], catalog)
-        grown = add_pattern(base, seed_patterns[1], catalog)
+        grown = add_patterns(base, [seed_patterns[1]], catalog)
         assert grown == build_dfa(seed_patterns, catalog)
 
     def test_re_adding_an_existing_pattern_only_bumps_the_count(self, seed_dfa, seed_patterns, catalog):
-        again = add_pattern(seed_dfa, seed_patterns[0], catalog)
+        again = add_patterns(seed_dfa, [seed_patterns[0]], catalog)
         assert again.pattern_count == seed_dfa.pattern_count + 1
         assert table_of(again) == table_of(seed_dfa)
         assert again.finals == seed_dfa.finals
@@ -234,16 +232,16 @@ class TestAddPattern:
         self, seed_dfa, seed_patterns, catalog
     ):
         # Pattern B ends in a run of 1s: a self-loop on state 10, the highest id.
-        again = add_pattern(seed_dfa, seed_patterns[1], catalog)
+        again = add_patterns(seed_dfa, [seed_patterns[1]], catalog)
         assert again.transitions == seed_dfa.transitions
 
     def test_adding_a_prefix_marks_an_interior_state_final(self, seed_dfa, seed_patterns, catalog):
-        grown = add_pattern(seed_dfa, make_trace([5, 1], "stub"), catalog)
+        grown = add_patterns(seed_dfa, [make_trace([5, 1], "stub")], catalog)
         assert 8 in grown.finals
         assert grown == build_dfa(seed_patterns + [make_trace([5, 1], "stub")], catalog)
 
     def test_add_never_removes_anything(self, seed_dfa, catalog):
-        grown = add_pattern(seed_dfa, make_trace([7, 11], "new"), catalog)
+        grown = add_patterns(seed_dfa, [make_trace([7, 11], "new")], catalog)
         assert set(seed_dfa.transitions) <= set(grown.transitions)
         assert seed_dfa.finals <= grown.finals
         assert seed_dfa.state_count <= grown.state_count
@@ -255,7 +253,7 @@ class TestAddPattern:
         batch = [make_trace(body, f"x{i}") for i, body in enumerate(bodies)]
         one_by_one = seed_dfa
         for pattern in batch:
-            one_by_one = add_pattern(one_by_one, pattern, catalog)
+            one_by_one = add_patterns(one_by_one, [pattern], catalog)
         grown = add_patterns(seed_dfa, batch, catalog)
         assert grown.pattern_count == seed_dfa.pattern_count + len(batch)
         assert serialize(grown) == serialize(one_by_one)
@@ -269,27 +267,38 @@ class TestAddPattern:
     def test_catalog_mismatch_is_loud(self, seed_dfa):
         other = BehaviorCatalog([BehaviorSpec(7, "Add Event Handler", 9)])
         with pytest.raises(CatalogMismatchError, match="catalog"):
-            add_pattern(seed_dfa, make_trace([7]), other)
+            add_patterns(seed_dfa, [make_trace([7])], other)
 
-    def test_a_base_that_loops_on_another_behavior_than_its_entry_is_an_internal_error(
+    def test_a_base_that_loops_on_another_behavior_than_its_entry_is_refused_as_loading_it_is(
         self, catalog
     ):
-        # State 1 is entered on 7 but loops on 5, which validate() flags and growing trips on.
+        # State 1 is entered on 7 but loops on 5, which validate() flags before growing starts.
         base = BehaviorDfa(
             2, [Transition(0, 7, 1, 3), Transition(1, 5, 1, 3)], {1}, catalog.fingerprint(), 1
         )
-        with pytest.raises(InternalInvariantError) as raised:
+        with pytest.raises(ModelFormatError) as loading:
+            deserialize(serialize(base))
+        with pytest.raises(ModelFormatError) as raised:
             add_patterns(base, [make_trace([7, 5])], catalog)
-        assert str(raised.value) == "adjacent runs share behavior 5 at state 1"
+        assert str(raised.value) == str(loading.value)
+        assert "bad-self-loop: self-loop on state 1 is behavior 5" in str(raised.value)
+
+    def test_a_run_loops_with_the_weight_of_its_entry_not_the_catalogs(self, catalog):
+        # A model file may weight an edge apart from its catalog; the loop copies the edge,
+        # so the grown model loads again.
+        base = BehaviorDfa(2, [Transition(0, 7, 1, 1)], {1}, catalog.fingerprint(), 1)
+        grown = add_patterns(deserialize(serialize(base)), [make_trace([7, 7])], catalog)
+        assert grown.transitions == (Transition(0, 7, 1, 1), Transition(1, 7, 1, 1))
+        assert deserialize(serialize(grown)) == grown
 
     def test_original_model_is_untouched(self, catalog, seed_patterns):
         base = build_dfa(seed_patterns[:1], catalog)
         before = table_of(base)
-        add_pattern(base, seed_patterns[1], catalog)
+        add_patterns(base, [seed_patterns[1]], catalog)
         assert table_of(base) == before
 
     def test_lookup_indexes_are_built_on_first_use(self, catalog, seed_patterns):
-        grown = add_pattern(build_dfa(seed_patterns[:1], catalog), seed_patterns[1], catalog)
+        grown = add_patterns(build_dfa(seed_patterns[:1], catalog), [seed_patterns[1]], catalog)
         assert "_tables" not in vars(grown)
         assert grown._tables[0][0] == {7: (1, 3), 5: (7, 3)}
         assert "_tables" in vars(grown)
@@ -303,13 +312,15 @@ class TestIndex:
         assert 5 not in out[3]
 
     @pytest.mark.parametrize("dfa, kinds", UNSOUND.values(), ids=UNSOUND.keys())
-    def test_a_model_validate_flags_is_refused_with_its_files_message(self, dfa, kinds):
+    def test_a_model_validate_flags_is_refused_with_its_files_message(self, dfa, kinds, catalog):
         assert [issue.kind for issue in validate(dfa)] == kinds
         with pytest.raises(ModelFormatError) as loading:
             deserialize(serialize(dfa))
         assert str(loading.value).startswith("model violates structural invariants: ")
         trace = make_trace([7, 5, 1, 3])
         for read in (
+            # Refused before its catalog check: the model's fingerprint is not the catalog's.
+            lambda: add_patterns(dfa, [make_trace([7])], catalog),
             lambda: classify(dfa, trace),
             lambda: match_prefix(dfa, trace),
             lambda: nearest_final(dfa, 0),
@@ -325,6 +336,8 @@ class TestIndex:
         monkeypatch.setattr(dfa_module, "validate", lambda dfa: calls.append(dfa) or original(dfa))
         trace = make_trace([7, 5])
         loaded = deserialize(serialize(seed_dfa))
+        add_patterns(loaded, [make_trace([7, 11])], catalog)
+        assert len(calls) == 1  # growing reads the answer loading got
         classify(loaded, trace)
         classify(loaded, trace)
         assert len(calls) == 1 and calls[0] is loaded

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behaviordfa.classify import Verdict, classify
-from behaviordfa.dfa import _grow, add_pattern, build_dfa, deserialize
+from behaviordfa.dfa import _grow, add_patterns, build_dfa, deserialize
 from behaviordfa.errors import EngineError, InternalInvariantError, ModelFormatError
 
 from helpers import make_trace
@@ -214,7 +214,7 @@ def test_growing_a_model_matches_the_reference(catalog, base, data):
     def one_at_a_time():
         grown = dfa
         for pattern in patterns:
-            grown = add_pattern(grown, pattern, catalog)
+            grown = add_patterns(grown, [pattern], catalog)
         return grown
 
     assert _outcome(one_at_a_time) == expected

@@ -12,7 +12,6 @@ from behaviordfa.classify import Verdict, classify, match_prefix, nearest_final
 from behaviordfa.dfa import (
     BehaviorDfa,
     Transition,
-    add_pattern,
     add_patterns,
     build_dfa,
     deserialize,
@@ -80,7 +79,7 @@ def test_every_build_pattern_classifies_malign_at_100(catalog, bodies):
 @given(pattern_bodies, st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=8))
 def test_adding_a_pattern_never_removes_anything(catalog, bodies, extra):
     base = build_from(bodies, catalog)
-    grown = add_pattern(base, make_trace(extra, trace_id="extra"), catalog)
+    grown = add_patterns(base, [make_trace(extra, trace_id="extra")], catalog)
     assert set(base.transitions) <= set(grown.transitions)
     assert base.finals <= grown.finals
     assert base.state_count <= grown.state_count
@@ -89,7 +88,7 @@ def test_adding_a_pattern_never_removes_anything(catalog, bodies, extra):
 @given(pattern_bodies, st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=8))
 def test_add_pattern_matches_a_full_rebuild(catalog, bodies, extra):
     base = build_from(bodies, catalog)
-    grown = add_pattern(base, make_trace(extra, trace_id=f"p{len(bodies)}"), catalog)
+    grown = add_patterns(base, [make_trace(extra, trace_id=f"p{len(bodies)}")], catalog)
     rebuilt = build_from(bodies + [extra], catalog)
     assert grown == rebuilt
 
@@ -101,7 +100,7 @@ def test_add_pattern_matches_a_full_rebuild(catalog, bodies, extra):
 def test_adding_patterns_one_at_a_time_matches_a_full_rebuild(catalog, bodies, extras):
     grown = build_from(bodies, catalog)
     for i, extra in enumerate(extras, start=len(bodies)):
-        grown = add_pattern(grown, make_trace(extra, trace_id=f"p{i}"), catalog)
+        grown = add_patterns(grown, [make_trace(extra, trace_id=f"p{i}")], catalog)
     assert grown == build_from(bodies + extras, catalog)
 
 
@@ -129,7 +128,7 @@ def test_serialize_matches_the_reference_encoder(catalog, bodies, batches):
     assert serialize(dfa) == oracle_serialize(dfa)
     for n, batch in enumerate(batches):
         for i, body in enumerate(batch):
-            dfa = add_pattern(dfa, make_trace(body, trace_id=f"a{n}.{i}"), catalog)
+            dfa = add_patterns(dfa, [make_trace(body, trace_id=f"a{n}.{i}")], catalog)
         assert serialize(dfa) == oracle_serialize(dfa)
 
 
