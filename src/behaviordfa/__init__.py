@@ -12,7 +12,6 @@ from .classify import (
     CsvReportWriter,
     JsonReportWriter,
     MatchResult,
-    NearestFinal,
     Verdict,
     classification_record,
     classify,
@@ -66,7 +65,6 @@ __all__ = [
     "JsonReportWriter",
     "MatchResult",
     "ModelFormatError",
-    "NearestFinal",
     "PatternError",
     "RecordError",
     "TraceFormatError",

@@ -15,14 +15,16 @@ it, whose own weight from the initial state is the denominator. The
 walk therefore tracks only its state, one out-table lookup per step
 but one per run on a self-loop, where the same step object repeats;
 an out table gives the edge's target as an offset from the state, 0
-on a self-loop, and its weight. classify() builds no path: the
-explanation fields of a result (matched_transitions, matched_weight,
-forward_path, denominator_path) are read off the model's tables when a
-caller reads them. The denominator path is the model's path from the
-initial state to the nearest final, one walk up its parent links, and
-the matched and forward paths are its head and tail, split where it
-leaves the walk's end state. Results are named tuples that carry the
-model, immutable and compared by their public fields.
+on a self-loop, and its weight. classify() builds two named tuples per
+trace and no path: a MatchResult, where the walk ended, and the
+Classification, which holds it and the id of the final the trace is
+scored against. The rest of the explanation (matched_transitions,
+matched_weight, denominator_weight, denominator_path, forward_path) is
+read off the match's model when a caller reads it. The denominator path
+is the model's path from the initial state to that final, one walk up
+its parent links, and the matched and forward paths are its head and
+tail, split where it leaves the walk's end state. Results are
+immutable, and compared by their public fields.
 Self-loop traversals consume input but add no weight on either side of
 the ratio, so a behavior repeated eight times scores the same as one
 repeated twice. Percentages are exact rationals end to end: a result
@@ -66,40 +68,11 @@ _BENIGN, _PARTIAL, _MALIGN = Verdict.BENIGN, Verdict.PARTIALLY_MALIGN, Verdict.M
 _new = tuple.__new__
 
 
-def _compared_by(*fields: str):
-    """Give a result tuple the equality, hash and repr of its public fields.
-
-    The tuple also holds the model its explanation fields are read from,
-    so two results are equal when every public field is, whichever model
-    object they came from, as two frozen dataclasses of those fields are.
-    """
-
-    def decorate(cls):
-        values = attrgetter(*fields)
-
-        def __eq__(self, other):
-            return values(self) == values(other) if type(other) is type(self) else NotImplemented
-
-        def __ne__(self, other):
-            return values(self) != values(other) if type(other) is type(self) else NotImplemented
-
-        def __repr__(self):
-            shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
-            return f"{cls.__name__}({shown})"
-
-        cls.__eq__, cls.__ne__, cls.__repr__ = __eq__, __ne__, __repr__
-        cls.__hash__ = lambda self: hash(values(self))
-        return cls
-
-    return decorate
-
-
-@_compared_by(
-    "end_state", "matched_transitions", "matched_weight", "consumed_steps", "diverged",
-    "reached_final",
-)
 class MatchResult(NamedTuple):
-    """Where a prefix walk ended; its path and weight are read off the model on demand."""
+    """Where a prefix walk ended; its path and weight are read off the model on demand.
+
+    Equal, and hashed alike, by its public fields, whichever model object it holds.
+    """
 
     end_state: int
     consumed_steps: int
@@ -117,31 +90,25 @@ class MatchResult(NamedTuple):
         """The weight of matched_transitions; self-loops add none."""
         return self.model._tables[2][self.end_state]
 
+    def __eq__(self, other):
+        return _public(self) == _public(other) if type(other) is MatchResult else NotImplemented
 
-@_compared_by("final_state", "forward_path", "denominator_path", "denominator_weight")
-class NearestFinal(NamedTuple):
-    """The cheapest final state ahead of from_state; paths are read off the model on demand.
+    def __ne__(self, other):
+        return _public(self) != _public(other) if type(other) is MatchResult else NotImplemented
 
-    denominator_path runs from the initial state all the way to the final,
-    by one walk up the final's parent links. forward_path is its tail from
-    from_state on: the path passes through from_state, so the edges above
-    it are the path to from_state.
-    """
+    def __hash__(self):
+        return hash(_public(self))
 
-    final_state: int
-    denominator_weight: int
-    from_state: int
-    model: BehaviorDfa
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(_PUBLIC, _public(self)))
+        return f"MatchResult({shown})"
 
-    @property
-    def forward_path(self) -> tuple[Transition, ...]:
-        """The forward edges from from_state to final_state, never a self-loop."""
-        path = self.denominator_path
-        return path[_split(path, self.from_state, self.final_state):]
 
-    @property
-    def denominator_path(self) -> tuple[Transition, ...]:
-        return self.model.path_from_initial(self.final_state)
+_PUBLIC = (
+    "end_state", "matched_transitions", "matched_weight", "consumed_steps", "diverged",
+    "reached_final",
+)
+_public = attrgetter(*_PUBLIC)
 
 
 def _split(path: tuple[Transition, ...], state: int, final: int) -> int:
@@ -157,16 +124,17 @@ def _split(path: tuple[Transition, ...], state: int, final: int) -> int:
 class Classification(NamedTuple):
     """Verdict plus the full explanation payload for one trace.
 
-    The percentage is derived from the verdict, match and nearest, like the
-    explanation fields: 100 for malign, 0 for benign, and for a partial
-    100 * matched weight / the nearest final's denominator weight.
+    final_state is the final scored against: the end state when malign, the
+    nearest final below it when partial, None when benign. The percentage
+    (100, 0, or 100 * matched weight / denominator_weight for a partial) and
+    the denominator fields are read off it and the match's model on demand.
     """
 
     trace_id: str
     label: str | None
     verdict: Verdict
     match: MatchResult
-    nearest: NearestFinal | None
+    final_state: int | None
 
     @property
     def match_percentage(self) -> Fraction:
@@ -178,6 +146,24 @@ class Classification(NamedTuple):
     @property
     def percent_display(self) -> str:
         return _format_pair(*_percent_pair(self))
+
+    @property
+    def denominator_weight(self) -> int | None:
+        """final_state's weight from the initial state; None when benign."""
+        final = self.final_state
+        return None if final is None else self.match.model._tables[2][final]
+
+    @property
+    def denominator_path(self) -> tuple[Transition, ...] | None:
+        """The forward edges from the initial state to final_state; None when benign."""
+        final = self.final_state
+        return None if final is None else self.match.model.path_from_initial(final)
+
+    @property
+    def forward_path(self) -> tuple[Transition, ...] | None:
+        """denominator_path from the walk's end state on, never a self-loop; None when benign."""
+        path = self.denominator_path
+        return None if path is None else path[_split(path, self.match.end_state, self.final_state):]
 
 
 def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
@@ -240,23 +226,21 @@ def match_prefix(dfa: BehaviorDfa, trace: BehaviorTrace) -> MatchResult:
     return _new(MatchResult, (state, consumed, diverged, reached, dfa))
 
 
-def nearest_final(dfa: BehaviorDfa, from_state: int) -> NearestFinal:
-    """Find the final state ahead of `from_state` with minimum path weight.
+def nearest_final(dfa: BehaviorDfa, from_state: int) -> int:
+    """The id of the final state ahead of `from_state` with minimum path weight.
 
     A lookup in the model's per-state tables, which hold for every state
     its nearest final, the final below it with the least weight from the
     initial state; self-loops only add cost and are never taken. Ties
-    between equally cheap finals go to the smallest state id. The returned
-    denominator covers the whole initial-to-final path, so it is that
-    final's weight from the initial state. The paths are only built when
-    the result's path fields are read. The model's index refuses a model
-    that validate() flags, so every state has a final ahead.
+    between equally cheap finals go to the smallest state id, and a final
+    is its own nearest. The denominator covers the whole initial-to-final
+    path, so it is that final's weight from the initial state, and its
+    path is model.path_from_initial(final). The model's index refuses a
+    model that validate() flags, so every state has a final ahead.
     """
     if not 0 <= from_state < dfa.state_count:
         raise ValueError(f"state {from_state} outside 0..{dfa.state_count - 1}")
-    _, _, prefix, nearest = dfa._tables
-    final = nearest[from_state]
-    return _new(NearestFinal, (final, prefix[final], from_state, dfa))
+    return dfa._tables[3][from_state]
 
 
 def match_percentage(matched_weight: int, denominator_weight: int) -> Fraction:
@@ -275,7 +259,7 @@ def _percent_pair(item: Classification) -> tuple[int, int]:
     """The item's exact percentage as the pair (numerator, denominator) in lowest terms."""
     verdict = item.verdict
     if verdict is _PARTIAL:
-        num, den = 100 * item.match.matched_weight, item.nearest.denominator_weight
+        num, den = 100 * item.match.matched_weight, item.denominator_weight
         common = gcd(num, den)
         return num // common, den // common
     return (100, 1) if verdict is _MALIGN else (0, 1)
@@ -431,10 +415,11 @@ def _pair_key(num: int, den: int) -> str:
 
 
 def _path(item: Classification) -> tuple[tuple[Transition, ...], int]:
-    """The path to the nearest final (else the end), and how many of its edges are matched."""
-    end, nearest = item.match.end_state, item.nearest
-    top = end if nearest is None else nearest.final_state
-    path = item.match.model.path_from_initial(top)
+    """The path to the final scored against (else the end), and how many of its edges matched."""
+    match, final = item.match, item.final_state
+    end = match.end_state
+    top = end if final is None else final  # state 0 may be final: only None means benign
+    path = match.model.path_from_initial(top)
     return path, _split(path, end, top)
 
 
@@ -443,7 +428,7 @@ def classification_record(item: Classification) -> dict:
     num, den = _percent_pair(item)
     path, matched = _path(item)
     ids = [t[1] for t in path]
-    nearest = item.nearest
+    final = item.final_state
     return {
         "id": item.trace_id,
         "label": item.label,
@@ -452,8 +437,8 @@ def classification_record(item: Classification) -> dict:
         "match_fraction": {"num": num, "den": den},
         "end_state": item.match.end_state,
         "matched_behaviors": ids[:matched],
-        "nearest_final_state": nearest.final_state if nearest else None,
-        "denominator_path_behaviors": ids if nearest else None,
+        "nearest_final_state": final,
+        "denominator_path_behaviors": None if final is None else ids,
     }
 
 
@@ -494,7 +479,7 @@ class JsonReportWriter:
         id_text = self._id_text
         texts = [id_text[t[1]] for t in path]
         path_text = ", ".join(texts)
-        nearest, label = item.nearest, item.label
+        final, label = item.final_state, item.label
         num, den = _percent_pair(item)
         self._out.write(
             _RECORD
@@ -507,8 +492,8 @@ class JsonReportWriter:
                 den,
                 item.match.end_state,
                 path_text if matched == len(texts) else ", ".join(texts[:matched]),
-                "null" if nearest is None else nearest.final_state,
-                "null" if nearest is None else f"[{path_text}]",
+                "null" if final is None else final,
+                "null" if final is None else f"[{path_text}]",
             )
         )
 

@@ -8,7 +8,6 @@ from behaviordfa.classify import (
     BatchSummary,
     Classification,
     MatchResult,
-    NearestFinal,
     Verdict,
     classify_stream,
 )
@@ -43,18 +42,21 @@ def run_batch(dfa, items):
 def weighted_classification(
     matched, denominator, verdict=Verdict.PARTIALLY_MALIGN, label=None, trace_id="t"
 ) -> Classification:
-    """A Classification whose walk matched `matched` weight, against a hand-built nearest final.
+    """A Classification whose walk matched `matched`, scored against a final of `denominator`.
 
-    The model is one edge 0 -> 1 of weight `matched` (1 when `matched` is 0),
-    the walk ends at state 1, or at state 0 when `matched` is 0, and the
-    nearest final's denominator weight is `denominator`, so a partial reads
-    100 * matched / denominator.
+    The model is a chain from state 0: an edge of weight `matched` to the
+    walk's end state (none when `matched` is 0, so the walk ends at state 0),
+    then one of weight `denominator - matched` to the one final (none when
+    the two are equal), so a partial reads 100 * matched / denominator. A
+    benign one is scored against no final.
     """
-    model = BehaviorDfa(2, [Transition(0, 7, 1, matched or 1)], {1}, "0" * 64, 1)
+    weights = [w for w in (matched, denominator - matched) if w]
+    edges = [Transition(i, 7 + i, i + 1, w) for i, w in enumerate(weights)]
+    model = BehaviorDfa(len(edges) + 1, edges, {len(edges)}, "0" * 64, 1)
     end = 1 if matched else 0
     match = MatchResult(end, end, False, verdict is Verdict.MALIGN, model)
-    nearest = None if verdict is Verdict.BENIGN else NearestFinal(1, denominator, end, model)
-    return Classification(trace_id, label, verdict, match, nearest)
+    final = None if verdict is Verdict.BENIGN else len(edges)
+    return Classification(trace_id, label, verdict, match, final)
 
 
 def classification_at(p: Fraction, verdict=Verdict.PARTIALLY_MALIGN, label=None) -> Classification:

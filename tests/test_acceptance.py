@@ -44,10 +44,12 @@ def test_criterion_1_model_reconstruction():
     dfa = build_dfa(_seed_patterns(), catalog)
     assert dfa.state_count == 11
     assert dfa.finals == {6, 10}
-    # Path weight from the initial state to each final, via the
-    # final's own nearest-final fixpoint.
-    assert nearest_final(dfa, 6).denominator_weight == 16
-    assert nearest_final(dfa, 10).denominator_weight == 10
+    # Path weight from the initial state to each final: each final is its
+    # own nearest, and the pattern that reaches it is scored against it.
+    for pattern, final, weight in zip(_seed_patterns(), (6, 10), (16, 10)):
+        assert nearest_final(dfa, final) == final
+        outcome = classify(dfa, pattern)
+        assert (outcome.final_state, outcome.denominator_weight) == (final, weight)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"reconstruction took {elapsed:.3f}s"
     _passed(1, "eleven-state reconstruction with path weights 16 and 10")
@@ -138,8 +140,8 @@ def test_criterion_5_oracle_equivalence():
             assert outcome.match.end_state == end, (patterns, steps)
             assert outcome.match.matched_weight == matched_weight, (patterns, steps)
             if verdict == "partially_malign":
-                assert outcome.nearest.final_state == final, (patterns, steps)
-                assert outcome.nearest.denominator_weight == denominator, (patterns, steps)
+                assert outcome.final_state == final, (patterns, steps)
+                assert outcome.denominator_weight == denominator, (patterns, steps)
             instances += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"

@@ -8,6 +8,7 @@ under the tracer, in a fresh process, as the benchmark does.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -34,7 +35,9 @@ def files(tmp_path):
 
     jsonl("patterns.jsonl", [{"id": "a", "steps": PATTERN_A}, {"id": "b", "steps": PATTERN_B}])
     jsonl("more.jsonl", [{"id": "c", "steps": [7, 3, 3, 11]}])
-    jsonl("traces.jsonl", [{"id": "x", "steps": [7, 5]}, {"id": "y", "steps": PATTERN_B}])
+    jsonl("traces.jsonl", [
+        {"id": "x", "steps": [7, 5]}, {"id": "y", "steps": PATTERN_B}, {"id": "z", "steps": [9]}
+    ])
     (tmp_path / "catalog.json").write_bytes(default_catalog().to_json())
     assert main(["--quiet", "build", "--patterns", str(tmp_path / "patterns.jsonl"),
                  "--out", str(tmp_path / "model.json")]) == 0
@@ -62,5 +65,13 @@ def test_traced_command_records_its_layer_spans(files, argv, expected):
         cwd=files, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
-    assert expected <= names, sorted(names)
+    spans = [span[0] for span in json.loads(spans_path.read_text())["spans"]]
+    assert expected <= set(spans), sorted(set(spans))
+    if argv[0] == "classify":
+        # The bench's classify.nearest_final_calls counts the traces scored against a final.
+        if "csv" in argv:
+            verdicts = [row["verdict"] for row in csv.DictReader(proc.stdout.splitlines())]
+        else:
+            verdicts = [json.loads(line).get("verdict") for line in proc.stdout.splitlines()]
+        scored = sum(v in ("partially_malign", "malign") for v in verdicts)
+        assert spans.count("classify.nearest_final") == scored == 2

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from behaviordfa import ingest
 from behaviordfa.classify import (
     BatchSummary,
+    Classification,
     CsvReportWriter,
     JsonReportWriter,
-    NearestFinal,
+    MatchResult,
     Verdict,
     classification_record,
     classify,
@@ -25,7 +26,7 @@ from behaviordfa.classify import (
     match_prefix,
     nearest_final,
 )
-from behaviordfa.dfa import BehaviorDfa, build_dfa
+from behaviordfa.dfa import BehaviorDfa, build_dfa, deserialize
 from behaviordfa.errors import InternalInvariantError
 from behaviordfa.ingest import RecordError, parse_traces
 
@@ -137,39 +138,45 @@ class TestMatchPrefix:
         assert looked_up == [7, 5, 1, 1]
 
 
+def scored_at(dfa, state, final):
+    """A hand-built partial whose walk ended at `state`, scored against `final`."""
+    match = MatchResult(state, 0, False, False, dfa)
+    return Classification("t", None, Verdict.PARTIALLY_MALIGN, match, final)
+
+
 class TestNearestFinal:
     def test_mid_branch_state_goes_to_its_branch_final(self, seed_dfa):
-        near = nearest_final(seed_dfa, 2)
-        assert near.final_state == 6
-        assert [t.behavior for t in near.denominator_path] == [7, 5, 1, 7, 5, 1]
-        assert near.denominator_weight == 16
+        final = nearest_final(seed_dfa, 2)
+        assert final == 6 and type(final) is int
+        assert [t.behavior for t in seed_dfa.path_from_initial(final)] == [7, 5, 1, 7, 5, 1]
+        assert scored_at(seed_dfa, 2, final).denominator_weight == 16
 
     def test_second_branch_head_costs_ten(self, seed_dfa):
-        near = nearest_final(seed_dfa, 7)
-        assert near.final_state == 10
-        assert near.denominator_weight == 10
-        assert [t.behavior for t in near.forward_path] == [1, 5, 1]
+        final = nearest_final(seed_dfa, 7)
+        assert final == 10
+        scored = scored_at(seed_dfa, 7, final)
+        assert scored.denominator_weight == 10
+        assert [t.behavior for t in scored.forward_path] == [1, 5, 1]
 
     def test_final_state_is_its_own_nearest(self, seed_dfa):
-        near = nearest_final(seed_dfa, 6)
-        assert near.final_state == 6
-        assert near.forward_path == ()
-        assert near.denominator_weight == 16
+        final = nearest_final(seed_dfa, 6)
+        assert final == 6
+        scored = scored_at(seed_dfa, 6, final)
+        assert scored.forward_path == ()
+        assert scored.denominator_weight == 16
 
     def test_initial_state_picks_the_cheaper_branch(self, seed_dfa):
-        near = nearest_final(seed_dfa, 0)
-        assert near.final_state == 10  # 10 beats 16
+        assert nearest_final(seed_dfa, 0) == 10  # 10 beats 16
 
     def test_equal_cost_finals_tie_break_on_smaller_id(self, catalog):
         # From the branch point both finals cost 3; state 2 beats state 3.
         dfa = build_dfa([make_trace([7, 5], "x"), make_trace([7, 3], "y")], catalog)
-        near = nearest_final(dfa, 1)
-        assert near.final_state == 2
+        assert nearest_final(dfa, 1) == 2
 
     def test_forward_path_never_uses_self_loops(self, seed_dfa):
         for state in range(seed_dfa.state_count):
-            near = nearest_final(seed_dfa, state)
-            assert all(t.source != t.target for t in near.forward_path)
+            scored = scored_at(seed_dfa, state, nearest_final(seed_dfa, state))
+            assert all(t.source != t.target for t in scored.forward_path)
 
     def test_invalid_state_rejected(self, seed_dfa):
         with pytest.raises(ValueError):
@@ -177,11 +184,11 @@ class TestNearestFinal:
 
     @pytest.mark.parametrize("final, from_state", [(10, 2), (10, 6), (6, 8)])
     def test_a_from_state_off_the_path_to_its_final_raises(self, seed_dfa, final, from_state):
-        # Only a hand-built result has one: nearest_final() gives a final below its state.
-        near = NearestFinal(final, seed_dfa._tables[2][final], from_state, seed_dfa)
-        assert near.denominator_path == seed_dfa.path_from_initial(final)
+        # Only a hand-built result has one: classify() scores against a final below its end.
+        scored = scored_at(seed_dfa, from_state, final)
+        assert scored.denominator_path == seed_dfa.path_from_initial(final)
         with pytest.raises(InternalInvariantError) as raised:
-            near.forward_path
+            scored.forward_path
         assert str(raised.value) == f"state {final} is not reachable from state {from_state}"
 
 
@@ -274,14 +281,16 @@ class TestClassify:
         assert outcome.verdict is Verdict.PARTIALLY_MALIGN
         assert outcome.match_percentage == Fraction(75, 4)
         assert outcome.percent_display == "18.75"
-        assert outcome.nearest.final_state == 6
-        assert outcome.nearest.denominator_weight == 16
+        assert outcome.final_state == 6
+        assert outcome.denominator_weight == 16
 
     def test_zero_overlap_is_benign(self, seed_dfa):
-        outcome = classify(seed_dfa, make_trace([9, 9, 9]))
-        assert outcome.verdict is Verdict.BENIGN
-        assert outcome.match_percentage == 0
-        assert outcome.nearest is None
+        for steps in ([9, 9, 9], [11, 7], [[9, 11], 5]):
+            outcome = classify(seed_dfa, make_trace(steps))
+            assert outcome.verdict is Verdict.BENIGN
+            assert outcome.match_percentage == 0
+            assert outcome.final_state is None and outcome.denominator_weight is None
+            assert outcome.denominator_path is None and outcome.forward_path is None
 
     def test_empty_trace_is_benign(self, seed_dfa):
         outcome = classify(seed_dfa, make_trace([]))
@@ -293,10 +302,31 @@ class TestClassify:
         assert outcome.verdict is Verdict.MALIGN
         assert outcome.match_percentage == Fraction(100)
         assert outcome.match.end_state == 10
+        assert outcome.final_state == 10 and outcome.forward_path == ()
+
+    def test_an_initial_state_that_is_final_flags_every_trace_against_state_0(self):
+        # State 0 may be final, so a result tells benign by a final_state of None.
+        dfa = deserialize(json.dumps({
+            "version": 1, "catalog_fingerprint": "0" * 64, "pattern_count": 1,
+            "states": 1, "finals": [0], "transitions": [],
+        }))
+        out = io.StringIO()
+        writer = JsonReportWriter(out)
+        for steps in ([], [7], [9, [11, 3]]):
+            outcome = classify(dfa, make_trace(steps, "t"))
+            assert outcome.verdict is Verdict.MALIGN and outcome.match_percentage == 100
+            assert type(outcome.final_state) is int and outcome.final_state == 0
+            assert outcome.denominator_path == outcome.forward_path == ()
+            assert outcome.denominator_weight == 0
+            record = classification_record(outcome)
+            assert record["nearest_final_state"] == 0
+            assert record["denominator_path_behaviors"] == []
+            writer.record(outcome)
+        assert [json.loads(line) for line in out.getvalue().splitlines()] == [record] * 3
 
     def test_matched_path_is_a_prefix_of_the_denominator_path(self, seed_dfa):
         outcome = classify(seed_dfa, make_trace([7, 5]))
-        prefix = outcome.nearest.denominator_path[: len(outcome.match.matched_transitions)]
+        prefix = outcome.denominator_path[: len(outcome.match.matched_transitions)]
         assert prefix == outcome.match.matched_transitions
 
     def test_labels_pass_through_untouched(self, seed_dfa):
@@ -330,7 +360,7 @@ class TestClassify:
         assert diverged.match.diverged and diverged.verdict is Verdict.PARTIALLY_MALIGN
         # Reading an explanation field is what builds a path.
         assert [t.behavior for t in diverged.match.matched_transitions] == [5, 1]
-        assert [t.behavior for t in diverged.nearest.denominator_path] == [5, 1, 5, 1]
+        assert [t.behavior for t in diverged.denominator_path] == [5, 1, 5, 1]
         assert calls == [8, 10]
 
     def test_results_are_immutable_values(self, seed_dfa, seed_patterns, catalog):
@@ -341,9 +371,10 @@ class TestClassify:
             (outcome.match, "end_state"),
             (outcome.match, "matched_transitions"),
             (outcome.match, "matched_weight"),
-            (outcome.nearest, "final_state"),
-            (outcome.nearest, "forward_path"),
-            (outcome.nearest, "denominator_path"),
+            (outcome, "final_state"),
+            (outcome, "denominator_weight"),
+            (outcome, "forward_path"),
+            (outcome, "denominator_path"),
         ]:
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)

@@ -128,11 +128,11 @@ def test_an_accepted_model_classifies_as_the_reference(document, data):
         assert [t.behavior for t in outcome.match.matched_transitions] == matched
         assert (outcome.match.diverged, outcome.match.reached_final) == (diverged, reached)
         if outcome.verdict is Verdict.PARTIALLY_MALIGN:
-            near = outcome.nearest
-            assert (near.final_state, near.denominator_weight) == (final, denominator)
-            assert sum(t.weight for t in near.denominator_path) == denominator
-            assert near.denominator_path[-1].target == final
-            assert near.denominator_path[: len(matched)] == outcome.match.matched_transitions
+            path = outcome.denominator_path
+            assert (outcome.final_state, outcome.denominator_weight) == (final, denominator)
+            assert sum(t.weight for t in path) == denominator
+            assert path[-1].target == final
+            assert path[: len(matched)] == outcome.match.matched_transitions
 
 
 # Pattern steps are mostly the alphabet, sometimes an id outside the

@@ -171,7 +171,7 @@ def test_matched_path_prefixes_the_denominator_path(catalog, bodies, steps):
     outcome = classify(dfa, make_trace(steps))
     if outcome.verdict is Verdict.PARTIALLY_MALIGN:
         matched = outcome.match.matched_transitions
-        assert outcome.nearest.denominator_path[: len(matched)] == matched
+        assert outcome.denominator_path[: len(matched)] == matched
 
 
 @given(pattern_bodies, trace_steps)
@@ -192,25 +192,26 @@ def test_engine_agrees_with_the_enumerating_reference(catalog, bodies, steps):
     assert outcome.match.end_state == end
     assert outcome.match.matched_weight == matched_weight
     if verdict == "partially_malign":
-        assert outcome.nearest.final_state == final
-        assert outcome.nearest.denominator_weight == denominator
+        assert outcome.final_state == final
+        assert outcome.denominator_weight == denominator
 
 
 @given(pattern_bodies)
 def test_nearest_final_agrees_with_the_enumerating_reference(catalog, bodies):
     dfa = build_from(bodies, catalog)
     for state in range(dfa.state_count):
-        near = nearest_final(dfa, state)
-        final, cost = oracle_nearest(dfa, state)
-        assert near.final_state == final
-        assert sum(t.weight for t in near.forward_path) == cost
-        assert near.denominator_weight == oracle_prefix_weight(dfa, state) + cost
-        assert near.denominator_path == dfa.path_from_initial(near.final_state)
+        final = nearest_final(dfa, state)
+        expected, cost = oracle_nearest(dfa, state)
+        assert final == expected
+        path = dfa.path_from_initial(final)
+        forward = path[len(dfa.path_from_initial(state)):]
+        assert sum(t.weight for t in forward) == cost
+        assert sum(t.weight for t in path) == oracle_prefix_weight(dfa, state) + cost
         here = state
-        for t in near.forward_path:  # a chain of forward edges from state to the final
+        for t in forward:  # a chain of forward edges from state to the final
             assert t.source == here < t.target
             here = t.target
-        assert here == near.final_state
+        assert here == final
 
 
 # Traces made of runs: each step, one id or a group, repeated 1-6 times.

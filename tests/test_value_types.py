@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from behaviordfa.catalog import BehaviorSpec
-from behaviordfa.classify import Classification, MatchResult, NearestFinal, Verdict, classify
+from behaviordfa.classify import Classification, MatchResult, Verdict, classify
 from behaviordfa.dfa import BehaviorDfa, Transition, ValidationIssue
 from behaviordfa.ingest import BehaviorTrace, RecordError
 
@@ -109,9 +109,10 @@ def test_model_index_is_built_once_and_is_no_field():
 )
 def test_classify_returns_the_public_result_types(seed_dfa, steps, verdict):
     outcome = classify(seed_dfa, make_trace(steps, trace_id="t", label="malicious"))
-    match, nearest = outcome.match, outcome.nearest
+    match, final = outcome.match, outcome.final_state
     assert type(outcome) is Classification and type(match) is MatchResult
-    assert (nearest is None) == (verdict is Verdict.BENIGN)
+    assert (final is None) == (verdict is Verdict.BENIGN)
+    assert final is None or type(final) is int
     rebuilt_match = MatchResult(
         end_state=match.end_state,
         consumed_steps=match.consumed_steps,
@@ -121,23 +122,12 @@ def test_classify_returns_the_public_result_types(seed_dfa, steps, verdict):
     )
     assert rebuilt_match == match and hash(rebuilt_match) == hash(match)
     assert tuple(rebuilt_match) == tuple(match)
-    rebuilt_nearest = None
-    if nearest is not None:
-        assert type(nearest) is NearestFinal
-        rebuilt_nearest = NearestFinal(
-            final_state=nearest.final_state,
-            denominator_weight=nearest.denominator_weight,
-            from_state=nearest.from_state,
-            model=nearest.model,
-        )
-        assert rebuilt_nearest == nearest and hash(rebuilt_nearest) == hash(nearest)
-        assert tuple(rebuilt_nearest) == tuple(nearest)
     rebuilt = Classification(
         trace_id=outcome.trace_id,
         label=outcome.label,
         verdict=outcome.verdict,
         match=rebuilt_match,
-        nearest=rebuilt_nearest,
+        final_state=final,
     )
     assert (rebuilt.trace_id, rebuilt.label, rebuilt.verdict) == ("t", "malicious", verdict)
     assert rebuilt == outcome and hash(rebuilt) == hash(outcome)
