@@ -57,6 +57,7 @@ class Verdict(enum.Enum):
     BENIGN = "benign"
     PARTIALLY_MALIGN = "partially_malign"
     MALIGN = "malign"
+    __hash__ = object.__hash__  # members equal only themselves; hashed in C, not Enum's Python
 
 
 # Bound once. Under CPython 3.11 an enum member read off its class, a

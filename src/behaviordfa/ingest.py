@@ -7,12 +7,15 @@ Trace files are line-delimited JSON, one trace per line:
 A step is the list of behavior ids observed at one point in execution;
 most steps hold a single id, and the flat shorthand ``"steps": [7, 5]``
 may be mixed with the grouped form. Parsed, each step is a plain tuple of
-ids, ``(7,)`` or ``(11, 3)``. A stream checks each distinct step once, in
-_parse_record(), where it first occurs; every later equal step of the
-stream, in any record, is the same shared tuple (``7`` and ``[7]`` share
-one). Only steps of at most 16 ids are shared, and a stream remembers
-4,096 entries at a time: when full it forgets them all and starts over,
-so every step of a run is still one tuple, checked once.
+ids, ``(7,)`` or ``(11, 3)``. A stream's JSON decoder turns each id into its
+checked, shared ``(id,)``, and a list's tuple of those finds its step in the
+same memo, so a good line needs no Python loop per step, and equal steps of
+such lines are one tuple (``7`` and ``[7]`` share one). Any other line (a
+bool, a float, a bad id or step, a step of over 16 ids, bad JSON) takes the
+exact path: json.loads and per-step checks, which word every error and share
+steps through a memo of their own. Once the decoder's memo holds 4,096
+entries, every line takes the exact path, whose memo of that size forgets all
+when full: every step of a run is still one tuple, checked once.
 Labels are advisory metadata: they travel to reports but never influence
 classification.
 """
@@ -35,8 +38,8 @@ from .errors import (
 
 LABELS = ("malicious", "benign")
 
-# A stream remembers checked steps of up to _SHARED_WIDTH ids, and empties its
-# memo when it holds _SHARED_STEPS entries: 3.5 MB at most for ids over a million.
+# A stream remembers checked steps of up to _SHARED_WIDTH ids in memos of _SHARED_STEPS
+# entries: 3.5 MB at most for the exact path's, ids over a million, and less for the decoder's.
 _SHARED_STEPS = 4096
 _SHARED_WIDTH = 16
 _INT = frozenset((int,))
@@ -95,10 +98,11 @@ def scan_traces(
 def _iter_records(source, catalog, strict):
     known = None if catalog is None else catalog.ids
     seen_ids: set[str] = set()
-    shared: dict = {}  # int or tuple entry -> its checked step, for this stream
+    shared: dict = {}  # int or tuple entry -> its checked step, for the exact path
+    memo = _Memo(known)
     for line_no, line in enumerate(source, start=1):
         try:
-            item = _parse_record(line, known, seen_ids, shared)
+            item = _parse_record(line, known, seen_ids, shared, memo)
             if item is not None:
                 yield item  # a caller that refuses it throws its EngineError in here
         except EngineError as exc:  # named here, the one place that knows the line
@@ -109,18 +113,63 @@ def _iter_records(source, catalog, strict):
             yield RecordError(line_no, str(exc))
 
 
-def _parse_record(line, known, seen_ids, shared):
+class _Memo(dict):
+    """One stream's decoder, and its checked steps by a number's JSON text or an entry's tuple.
+
+    A miss checks and remembers its step, or raises KeyError or ValueError (int() of the
+    text of a float, a constant or a huge int): _parse_record() then takes the exact path."""
+
+    def __init__(self, known):
+        self.known, hook = known, self.__getitem__
+        self.decode = json.JSONDecoder(parse_int=hook, parse_float=hook, parse_constant=hook).decode
+
+    def __missing__(self, key):
+        if len(self) >= _SHARED_STEPS:  # full: the stream stops taking the decoder path
+            raise KeyError(key)
+        if type(key) is str:
+            b = int(key)
+            if b < 0 or (self.known is not None and b not in self.known):
+                raise KeyError(key)
+            step = self.setdefault((b,), (b,))  # "-0" finds the step of "0"
+            self[(step,)] = step  # decoded, the entry b is that step and [b] is (step,)
+        elif 1 < len(key) <= _SHARED_WIDTH:
+            # A good group's elements are checked (id,)s; None raises TypeError, and a str fails.
+            step = tuple(chain.from_iterable(key))
+            if len(set(step)) != len(key) or not _INT.issuperset(map(type, step)):
+                raise KeyError(key)
+        else:
+            raise KeyError(key)
+        self[key] = step
+        return step
+
+
+def _parse_record(line, known, seen_ids, shared, memo):
     """The checked trace of one input line, str or UTF-8 bytes, or None if it is blank.
 
-    `known` is the catalog's id set, or None to accept any id. `shared` maps
-    the entries already checked in this stream to their steps. Every fault of
-    the line raises an EngineError from here; _iter_records() adds its number.
+    `known` is the catalog's id set, or None to accept any id. A good line that `memo`
+    answers is decoded there; `shared` maps the entries the exact path checked. Every
+    fault of the line raises an EngineError from here; _iter_records() adds its number.
     """
     if isinstance(line, (bytes, bytearray)):
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"not valid UTF-8: {exc}") from exc
+    # Decoded, 1 is the shared (1,), and (True,) == (1,): true and false take the exact path.
+    if memo.decode is not None and "true" not in line and "false" not in line:
+        try:
+            obj = memo.decode(line)
+            trace_id, label, raw_steps = obj["id"], obj.get("label"), obj["steps"]
+            # tuple() keeps a shared (id,) and turns a list into its key.
+            steps = tuple(map(memo.__getitem__, map(tuple, raw_steps)))
+            if (type(trace_id) is str and trace_id and trace_id not in seen_ids
+                    and is_text(trace_id) and (label is None or label in LABELS)
+                    and type(raw_steps) is list):
+                seen_ids.add(trace_id)
+                return tuple.__new__(BehaviorTrace, (trace_id, steps, label))
+        except (LookupError, TypeError, ValueError, RecursionError):
+            if len(memo) >= _SHARED_STEPS:
+                memo.decode = None
     if not line.strip():  # after decoding: a UTF-8 no-break space is blank too
         return None
     try:

@@ -280,6 +280,52 @@ def _stream_lines(records):
     return jsonl(*({"id": f"r{n}", "steps": steps} for n, steps in enumerate(records, start=1)))
 
 
+# Numbers as JSON may spell them, for lines written as text: ids in and out
+# of the catalog, -0, negatives, floats, constants and other JSON values.
+_token = st.sampled_from(
+    ["1", "3", "5", "7", "11", "0", "-0", "99", "-1", "1.0", "1e2", "7E0", "NaN", "-Infinity",
+     "true", "false", "null", '"7"', "[]", "{}"]
+)
+
+
+def _spell(steps):
+    return "[" + ", ".join(_spell(e) if isinstance(e, list) else e for e in steps) + "]"
+
+
+def _oracle_lines(lines, known):
+    """Each line's trace or RecordError, from json.loads and the per-step oracle alone.
+
+    The lines carry distinct ids and no label, so only their JSON and steps can fail."""
+    outcomes = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            outcomes.append(RecordError(line_no, f"line {line_no}: not valid JSON: {exc}"))
+            continue
+        if not isinstance(obj, dict):
+            outcomes.append(RecordError(line_no, f"line {line_no}: record is not a JSON object"))
+        elif not isinstance(obj["id"], str):
+            outcomes.append(RecordError(line_no, f"line {line_no}: missing or non-string 'id'"))
+        elif obj.get("label") is not None:
+            outcomes.append(RecordError(line_no, (
+                f"line {line_no}: trace {obj['id']!r}: "
+                "label must be one of ('malicious', 'benign') or null"
+            )))
+        elif not isinstance(obj["steps"], list):
+            outcomes.append(RecordError(
+                line_no, f"line {line_no}: trace {obj['id']!r}: 'steps' must be an array"
+            ))
+        else:
+            try:
+                steps = oracle_steps(obj["steps"], obj["id"], line_no, known)
+            except (TraceFormatError, UnknownBehaviorError) as exc:
+                outcomes.append(RecordError(line_no, str(exc)))
+            else:
+                outcomes.append(BehaviorTrace(obj["id"], steps))
+    return outcomes
+
+
 class TestStreamSharedSteps:
     """Steps are shared by the whole stream, and every record still parses as if alone."""
 
@@ -361,31 +407,187 @@ class TestStreamSharedSteps:
             "line 2: trace 'b': step 0 holds True, expected a non-negative integer behavior id"
         )
 
-    def test_a_full_memo_starts_over_and_runs_still_share(self, catalog, monkeypatch):
-        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
-        first, second = parse_traces(
-            jsonl({"id": "a", "steps": [7, 5, 11, 11, [11]]}, {"id": "b", "steps": [11, 7, 11]})
-        )
-        # 7 and 5 fill the four entries (each as 7 and as (7,)); 11 empties the
-        # memo and is remembered alone, so record b finds it and checks 7 again.
-        assert first.steps[2] is first.steps[3] and first.steps[4] is first.steps[2]
-        assert second.steps[0] is first.steps[2] and second.steps[2] is first.steps[2]
-        assert second.steps[1] == first.steps[0] and second.steps[1] is not first.steps[0]
-        (error,) = scan_traces(jsonl({"id": "c", "steps": [7, 5, 99]}), catalog)
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every step the stream checks, in order, tagged by the path that checked it.
+
+        Also records the largest size the decoder's memo reached, and how often a miss
+        met it full."""
+        log = {"steps": [], "largest": 0, "full": 0}
+        missing, check_step = ingest._Memo.__missing__, ingest._check_step
+
+        def decoded(memo, key):
+            log["full"] += len(memo) >= ingest._SHARED_STEPS
+            step = missing(memo, key)  # raises for a key the decoder path cannot take
+            log["steps"].append(("decoded", step))
+            log["largest"] = max(log["largest"], len(memo))
+            return step
+
+        def exact(step, *rest):
+            log["steps"].append(("exact", step))
+            return check_step(step, *rest)
+
+        monkeypatch.setattr(ingest._Memo, "__missing__", decoded)
+        monkeypatch.setattr(ingest, "_check_step", exact)
+        return log
+
+    def test_a_full_memo_starts_over_and_runs_still_share(self, catalog, monkeypatch, checked):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 8)
+        a, b, c, d = parse_traces(jsonl(
+            {"id": "a", "steps": [7, 5, 7, [7], [5, 7], [5, 7]]},
+            {"id": "b", "steps": [11, 11, 7, [11]]},
+            {"id": "c", "steps": [3, 3, 7]},
+            {"id": "d", "steps": [7, 3]},
+        ), catalog)
+        # 7 and 5 take three entries each (text, (id,) and [id]'s key), [5, 7] one and 11
+        # three more; 3 finds the memo full, so c and every later line take the exact path.
+        assert checked["steps"] == [
+            ("decoded", (7,)), ("decoded", (5,)), ("decoded", (5, 7)), ("decoded", (11,)),
+            ("exact", (3,)), ("exact", (7,)),
+        ]
+        assert checked["largest"] <= 8 + 2  # a miss on a full memo raises, so it stays bounded
+        assert checked["full"] == 1  # once full, the stream stops trying the decoder
+        assert a.steps[0] is a.steps[2] is a.steps[3] and a.steps[4] is a.steps[5]
+        assert b.steps[0] is b.steps[1] is b.steps[3] and b.steps[2] is a.steps[0]
+        assert c.steps[0] is c.steps[1] and c.steps[2] == a.steps[0]
+        assert c.steps[2] is not a.steps[0]  # the exact path keeps its own memo
+        assert d.steps == ((7,), (3,)) and d.steps[0] is c.steps[2] and d.steps[1] is c.steps[0]
+        (error,) = scan_traces(jsonl({"id": "e", "steps": [7, 5, 99]}), catalog)
         assert error.reason.startswith("line 1: unknown behavior id 99")
 
-    def test_past_the_cap_a_run_is_checked_once(self, monkeypatch):
+    def test_past_the_cap_a_run_is_checked_once(self, monkeypatch, checked):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 64)
+        runs = [[3, 1]] * 1000 + [1] * 1000
+        first, second = parse_traces(jsonl(
+            {"id": "a", "steps": list(range(100, 110)) + runs},
+            {"id": "b", "steps": list(range(200, 240)) + runs},  # 40 distinct ids fill the memo
+        ))
+        # The decoder checks a's steps once each, and b's first ids until the memo is full;
+        # then b takes the exact path, which checks each of its distinct steps once.
+        decoded = [(i,) for i in range(100, 110)] + [(3,), (1,), (3, 1)]
+        decoded += [(i,) for i in range(200, 209)]  # (64 - 37) // 3 ids fit before it is full
+        exact = [(i,) for i in range(200, 240)] + [(3, 1), (1,)]
+        assert checked["steps"] == [("decoded", s) for s in decoded] + [("exact", s) for s in exact]
+        assert checked["largest"] <= 64 + 2 and checked["full"] == 1
+        for trace in (first, second):
+            assert len({id(step) for step in trace.steps[-2000:-1000]}) == 1
+            assert len({id(step) for step in trace.steps[-1000:]}) == 1
+        # Past the cap too (the exact path's memo of 4 starts over), a run is one object.
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
-        checked = []
-        check_step = ingest._check_step
-        monkeypatch.setattr(
-            ingest, "_check_step", lambda step, *rest: checked.append(step) or check_step(step, *rest)
-        )
-        ids = list(range(100, 140))  # 40 distinct ids empty the memo ten times
-        (trace,) = parse_traces(jsonl({"id": "a", "steps": ids + [[3, 1]] * 1000 + [1] * 1000}))
-        assert checked == [(i,) for i in ids] + [(3, 1), (1,)]
-        assert len({id(step) for step in trace.steps[40:1040]}) == 1
-        assert len({id(step) for step in trace.steps[1040:]}) == 1
+        (third,) = parse_traces(jsonl({"id": "c", "steps": list(range(300, 340)) + runs}))
+        assert len({id(step) for step in third.steps[40:1040]}) == 1
+        assert len({id(step) for step in third.steps[1040:]}) == 1
+
+    @pytest.mark.parametrize("with_catalog", [True, False])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "r2", "steps": [7, 1e2]}',
+            '{"id": "r2", "steps": [[7, 1.0], 5]}',
+            '{"id": "r2", "steps": [1.0]}',
+            '{"id": "r2", "steps": [7, [5, 7]], "seen": 1e2}',
+            '{"id": "r2", "steps": [7], "seen": 1.0, "at": [3, 1.5]}',
+            '{"id": "r2", "steps": [-0, [0, 7], [-0], [-0, 0]]}',
+            '{"id": "r2", "steps": [7, -1]}',
+            '{"id": "r2", "steps": [NaN]}',
+            '{"id": "r2", "steps": [[7, -Infinity]]}',
+            '{"id": "r2", "steps": [7, ' + "1" * 5000 + "]}",
+            '{"id": "r2", "steps": [99]}',
+            '{"id": "r2", "steps": [[7, 99]], "seen": 99}',
+            '{"id": "r2", "steps": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]]}',
+            '{"id": "r2", "steps": [7, [7], [], 5]}',
+            '{"id": "r2", "steps": [[5, 7, 5]]}',
+            '{"id": "r2", "steps": [[7, "5"], 5]}',
+            '{"id": "r2", "steps": [[7, null]]}',
+            '{"id": "r2", "steps": ["75"]}',
+            '{"id": "r2", "steps": {"7": 5}}',
+            '{"id": "r2", "steps": ""}',
+            '{"id": 7, "steps": [7]}',
+            '{"id": "r2", "steps": [7], "label": 5}',
+            "[7, 5]",
+            "7",
+            '{"id": "r2", "steps": [7, 5]',
+        ],
+    )
+    def test_a_line_the_memo_cannot_answer_matches_json_loads_and_the_oracle(
+        self, catalog, record, with_catalog
+    ):
+        used = catalog if with_catalog else None
+        # The first line fills the memo with good steps, so the second meets hits and misses.
+        lines = ['{"id": "r1", "steps": [7, 5, 1, 3, [5, 7], [1, 3], [7, 5]]}', record]
+        expected = _oracle_lines(lines, used and used.ids)
+        assert list(scan_traces(lines, used)) == expected
+        parsed, raised = _parse_until_error(lines, used)
+        if isinstance(expected[1], RecordError):
+            assert parsed == expected[:1] and str(raised) == expected[1].reason
+        else:
+            assert parsed == expected and raised is None
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ({"id": "true", "steps": [7, [5, 7]]}, None),
+            ({"id": "false and true", "steps": [7], "label": "malicious"}, None),
+            ({"id": "r2", "steps": [7], "note": "true"}, None),
+            ({"id": "r2", "steps": [7], "label": "true"},
+             "line 2: trace 'r2': label must be one of ('malicious', 'benign') or null"),
+            ({"id": "r2", "steps": [[7, False]]},
+             "line 2: trace 'r2': step 0 holds False, expected a non-negative integer behavior id"),
+        ],
+    )
+    def test_true_or_false_anywhere_on_a_line_takes_the_exact_path(self, catalog, record, reason):
+        lines = jsonl({"id": "r1", "steps": [7, 5, 1, [5, 7]]}, record)
+        first, second = scan_traces(lines, catalog)
+        if reason is None:
+            assert second == BehaviorTrace(record["id"], oracle_steps(
+                record["steps"], record["id"], 2, catalog.ids
+            ), record.get("label"))
+            # The exact path keeps its own memo: equal, but not the decoded line's object.
+            assert second.steps[0] == first.steps[0] and second.steps[0] is not first.steps[0]
+        else:
+            assert second == RecordError(2, reason)
+
+    def test_a_memo_that_overflows_mid_stream_matches_the_oracle(self, catalog, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
+        records = [
+            [7, 5, 7, [7]],  # 7 and 5 fill the memo past its 4 entries: decoded
+            [5, 7, 11, 11, [11, 7], [11, 7]],  # 11 finds it full: the exact path, from here on
+            [7, [11, 7], 5, 99],
+            [[7, 11], 7, 7, 3],
+        ]
+        lines = _stream_lines(records)
+        expected = _oracle_stream(records, catalog.ids)
+        scanned = list(scan_traces(lines, catalog))
+        assert scanned[2] == RecordError(3, str(expected[2]))
+        assert [scanned[i] for i in (0, 1, 3)] == [expected[i] for i in (0, 1, 3)]
+        for trace in (scanned[0], scanned[1], scanned[3]):
+            steps = trace.steps
+            assert all(after is step or after != step for step, after in zip(steps, steps[1:]))
+        assert scanned[0].steps[3] is scanned[0].steps[0]
+
+    # Lines spelt as text, so numbers take every JSON form; 200 examples, about 1 s.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(st.lists(st.one_of(_token, st.lists(_token, max_size=4)), max_size=8),
+                         min_size=1, max_size=6),
+        extra=st.one_of(st.none(), _token),
+        with_catalog=st.booleans(),
+    )
+    def test_every_line_matches_json_loads_and_the_oracle(
+        self, catalog, records, extra, with_catalog
+    ):
+        used = catalog if with_catalog else None
+        tail = "}" if extra is None else f', "x": {extra}}}'
+        lines = [
+            f'{{"id": "r{n}", "steps": {_spell(steps)}{tail}'
+            for n, steps in enumerate(records, start=1)
+        ]
+        expected = _oracle_lines(lines, used and used.ids)
+        scanned = list(scan_traces(lines, used))
+        assert scanned == expected
+        for trace in scanned:  # a run of equal steps is one object
+            steps = getattr(trace, "steps", ())
+            assert all(after is step or after != step for step, after in zip(steps, steps[1:]))
 
     def test_only_narrow_steps_are_shared(self):
         narrow, wide = list(range(ingest._SHARED_WIDTH)), list(range(ingest._SHARED_WIDTH + 1))
