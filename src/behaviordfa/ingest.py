@@ -13,9 +13,9 @@ same memo, so a good line needs no Python loop per step, and equal steps of
 such lines are one tuple (``7`` and ``[7]`` share one). Any other line (a
 bool, a float, a bad id or step, a step of over 16 ids, bad JSON) takes the
 exact path: json.loads and per-step checks, which word every error and share
-steps through a memo of their own. Once the decoder's memo holds 4,096
-entries, every line takes the exact path, whose memo of that size forgets all
-when full: every step of a run is still one tuple, checked once.
+steps through a memo of their own that forgets all when full, so every step
+of a run is still one tuple, checked once. Once the decoder's memo holds
+4,096 entries, or it has declined 16 good lines, every line takes the exact path.
 Labels are advisory metadata: they travel to reports but never influence
 classification.
 """
@@ -38,10 +38,11 @@ from .errors import (
 
 LABELS = ("malicious", "benign")
 
-# A stream remembers checked steps of up to _SHARED_WIDTH ids in memos of _SHARED_STEPS
-# entries: 3.5 MB at most for the exact path's, ids over a million, and less for the decoder's.
+# A stream keeps checked steps of up to _SHARED_WIDTH ids in memos of _SHARED_STEPS entries (3.5 MB
+# at most, ids over a million); it stops decoding after _DECLINED good lines its decoder declined.
 _SHARED_STEPS = 4096
 _SHARED_WIDTH = 16
+_DECLINED = 16
 _INT = frozenset((int,))
 
 
@@ -114,17 +115,16 @@ def _iter_records(source, catalog, strict):
 
 
 class _Memo(dict):
-    """One stream's decoder, and its checked steps by a number's JSON text or an entry's tuple.
-
-    A miss checks and remembers its step, or raises KeyError or ValueError (int() of the
-    text of a float, a constant or a huge int): _parse_record() then takes the exact path."""
+    """One stream's decoder and its checked steps, by a number's JSON text or an entry's tuple.
+    A miss checks and remembers its step, or raises: _parse_record() takes the exact path."""
 
     def __init__(self, known):
-        self.known, hook = known, self.__getitem__
+        self.known, self.declined, hook = known, 0, self.__getitem__
         self.decode = json.JSONDecoder(parse_int=hook, parse_float=hook, parse_constant=hook).decode
 
     def __missing__(self, key):
         if len(self) >= _SHARED_STEPS:  # full: the stream stops taking the decoder path
+            self.decode = None
             raise KeyError(key)
         if type(key) is str:
             b = int(key)
@@ -146,17 +146,15 @@ class _Memo(dict):
 def _parse_record(line, known, seen_ids, shared, memo):
     """The checked trace of one input line, str or UTF-8 bytes, or None if it is blank.
 
-    `known` is the catalog's id set, or None to accept any id. A good line that `memo`
-    answers is decoded there; `shared` maps the entries the exact path checked. Every
-    fault of the line raises an EngineError from here; _iter_records() adds its number.
-    """
+    `known` is the catalog's id set, or None. `memo` decodes the good lines it can answer;
+    `shared` maps the entries the exact path checked. Every fault raises an EngineError."""
     if isinstance(line, (bytes, bytearray)):
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"not valid UTF-8: {exc}") from exc
     # Decoded, 1 is the shared (1,), and (True,) == (1,): true and false take the exact path.
-    if memo.decode is not None and "true" not in line and "false" not in line:
+    if tried := memo.decode is not None and "true" not in line and "false" not in line:
         try:
             obj = memo.decode(line)
             trace_id, label, raw_steps = obj["id"], obj.get("label"), obj["steps"]
@@ -168,8 +166,7 @@ def _parse_record(line, known, seen_ids, shared, memo):
                 seen_ids.add(trace_id)
                 return tuple.__new__(BehaviorTrace, (trace_id, steps, label))
         except (LookupError, TypeError, ValueError, RecursionError):
-            if len(memo) >= _SHARED_STEPS:
-                memo.decode = None
+            pass
     if not line.strip():  # after decoding: a UTF-8 no-break space is blank too
         return None
     try:
@@ -223,6 +220,9 @@ def _parse_record(line, known, seen_ids, shared, memo):
         # the lookups were exact only if every element of every list is an int.
         if _INT.issuperset(map(type, chain.from_iterable(grouped))):
             seen_ids.add(trace_id)
+            memo.declined += tried  # tried: the decoder declined this good line
+            if memo.declined >= _DECLINED:
+                memo.decode = None
             # tuple.__new__ skips the named tuple's Python-level constructor.
             return tuple.__new__(BehaviorTrace, (trace_id, tuple(steps), label))
     except (EngineError, TypeError):  # a miss failed, or a list's tuple is unhashable

@@ -478,6 +478,35 @@ class TestStreamSharedSteps:
         assert len({id(step) for step in third.steps[40:1040]}) == 1
         assert len({id(step) for step in third.steps[1040:]}) == 1
 
+    def test_the_exact_paths_memo_is_bounded_and_starts_over(self, monkeypatch, checked):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
+        (trace,) = parse_traces(jsonl({"id": "a", "steps": [300, 301, 302, 300, 300]}))
+        # 300 and 301 fill the decoder's memo, so the line takes the exact path. There each
+        # id takes two entries: 302 finds that memo full, and it forgets 300 and 301.
+        assert checked["steps"] == [("decoded", (300,)), ("decoded", (301,))] + [
+            ("exact", (i,)) for i in (300, 301, 302, 300)
+        ]
+        assert trace.steps[3] == trace.steps[0] and trace.steps[3] is not trace.steps[0]
+        assert trace.steps[4] is trace.steps[3]
+
+    def test_after_a_few_good_lines_it_declined_the_stream_stops_decoding(
+        self, monkeypatch, checked
+    ):
+        monkeypatch.setattr(ingest, "_DECLINED", 2)
+        lines = [
+            '{"id": "a", "steps": [7]}',
+            '{"id": "b", "steps": [-1]}',  # a bad line: decoded twice, as always, and not counted
+            '{"id": "c", "at": 1.5, "steps": [5]}',  # a float: good, but declined
+            '{"id": "d", "steps": [11]}',
+            '{"id": "e", "at": -2, "steps": [3]}',  # a negative int: the second good one
+            '{"id": "f", "steps": [13]}',
+        ]
+        assert list(scan_traces(lines)) == _oracle_lines(lines, None)
+        assert checked["steps"] == [
+            ("decoded", (7,)), ("exact", (-1,)), ("exact", (-1,)), ("exact", (5,)),
+            ("decoded", (11,)), ("exact", (3,)), ("exact", (13,)),
+        ]
+
     @pytest.mark.parametrize("with_catalog", [True, False])
     @pytest.mark.parametrize(
         "record",
