@@ -313,8 +313,8 @@ def classify_stream(
     Lazy: each item is classified as it arrives and none is kept, so
     classification holds one trace at a time. The parse_traces and
     scan_traces readers do keep the set of every trace id seen, to reject
-    duplicates, so a whole batch costs O(distinct ids) memory, plus the
-    steps they share, which are capped. Output order equals input order.
+    duplicates, so a whole batch costs O(distinct ids) memory, plus one
+    capped memo of shared steps. Output order equals input order.
     """
     for item in items:
         if isinstance(item, RecordError):

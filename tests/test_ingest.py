@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -288,8 +289,16 @@ _token = st.sampled_from(
 )
 
 
-def _spell(steps):
-    return "[" + ", ".join(_spell(e) if isinstance(e, list) else e for e in steps) + "]"
+_space = st.sampled_from(["", " ", "\n"])
+
+
+def _spell(items, space):
+    """A list of tokens as JSON text, with space() inside its brackets and after each comma."""
+    text = "".join(
+        ("," + space() if index else "") + (_spell(e, space) if isinstance(e, list) else e)
+        for index, e in enumerate(items)
+    )
+    return "[" + space() + text + space() + "]"
 
 
 def _oracle_lines(lines, known):
@@ -409,29 +418,32 @@ class TestStreamSharedSteps:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Every step the stream checks, in order, tagged by the path that checked it.
+        """Each step the decoder checks, and the id of each line json.loads reads, in order.
 
         Also records the largest size the decoder's memo reached, and how often a miss
-        met it full."""
+        met it full. A miss on an id's text stores nothing and is not logged."""
         log = {"steps": [], "largest": 0, "full": 0}
-        missing, check_step = ingest._Memo.__missing__, ingest._check_step
+        missing = ingest._Memo.__missing__
 
         def decoded(memo, key):
+            if type(key) is str:
+                return missing(memo, key)
             log["full"] += len(memo) >= ingest._SHARED_STEPS
             step = missing(memo, key)  # raises for a key the decoder path cannot take
             log["steps"].append(("decoded", step))
             log["largest"] = max(log["largest"], len(memo))
             return step
 
-        def exact(step, *rest):
-            log["steps"].append(("exact", step))
-            return check_step(step, *rest)
+        def loads(line):  # the exact path
+            obj = json.loads(line)
+            log["steps"].append(("exact", obj["id"]))
+            return obj
 
         monkeypatch.setattr(ingest._Memo, "__missing__", decoded)
-        monkeypatch.setattr(ingest, "_check_step", exact)
+        monkeypatch.setattr(ingest, "json", SimpleNamespace(JSONDecoder=json.JSONDecoder, loads=loads))
         return log
 
-    def test_a_full_memo_starts_over_and_runs_still_share(self, catalog, monkeypatch, checked):
+    def test_a_full_memo_is_tried_once_and_runs_still_share(self, catalog, monkeypatch, checked):
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 8)
         a, b, c, d = parse_traces(jsonl(
             {"id": "a", "steps": [7, 5, 7, [7], [5, 7], [5, 7]]},
@@ -443,19 +455,18 @@ class TestStreamSharedSteps:
         # three more; 3 finds the memo full, so c and every later line take the exact path.
         assert checked["steps"] == [
             ("decoded", (7,)), ("decoded", (5,)), ("decoded", (5, 7)), ("decoded", (11,)),
-            ("exact", (3,)), ("exact", (7,)),
+            ("exact", "c"), ("exact", "d"),
         ]
-        assert checked["largest"] <= 8 + 2  # a miss on a full memo raises, so it stays bounded
+        assert checked["largest"] <= 8 + ingest._SHARED_WIDTH + 1  # then a miss raises
         assert checked["full"] == 1  # once full, the stream stops trying the decoder
         assert a.steps[0] is a.steps[2] is a.steps[3] and a.steps[4] is a.steps[5]
         assert b.steps[0] is b.steps[1] is b.steps[3] and b.steps[2] is a.steps[0]
         assert c.steps[0] is c.steps[1] and c.steps[2] == a.steps[0]
-        assert c.steps[2] is not a.steps[0]  # the exact path keeps its own memo
-        assert d.steps == ((7,), (3,)) and d.steps[0] is c.steps[2] and d.steps[1] is c.steps[0]
+        assert d.steps == ((7,), (3,))
         (error,) = scan_traces(jsonl({"id": "e", "steps": [7, 5, 99]}), catalog)
         assert error.reason.startswith("line 1: unknown behavior id 99")
 
-    def test_past_the_cap_a_run_is_checked_once(self, monkeypatch, checked):
+    def test_past_the_cap_a_run_is_one_object(self, monkeypatch, checked):
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 64)
         runs = [[3, 1]] * 1000 + [1] * 1000
         first, second = parse_traces(jsonl(
@@ -463,49 +474,39 @@ class TestStreamSharedSteps:
             {"id": "b", "steps": list(range(200, 240)) + runs},  # 40 distinct ids fill the memo
         ))
         # The decoder checks a's steps once each, and b's first ids until the memo is full;
-        # then b takes the exact path, which checks each of its distinct steps once.
-        decoded = [(i,) for i in range(100, 110)] + [(3,), (1,), (3, 1)]
-        decoded += [(i,) for i in range(200, 209)]  # (64 - 37) // 3 ids fit before it is full
-        exact = [(i,) for i in range(200, 240)] + [(3, 1), (1,)]
-        assert checked["steps"] == [("decoded", s) for s in decoded] + [("exact", s) for s in exact]
-        assert checked["largest"] <= 64 + 2 and checked["full"] == 1
+        # then b takes the exact path.
+        decoded = [(i,) for i in range(100, 110)] + [(3, 1), (1,)]
+        decoded += [(i,) for i in range(200, 210)]  # (64 - 35) // 3 + 1 ids fit before it is full
+        assert checked["steps"] == [("decoded", s) for s in decoded] + [("exact", "b")]
+        assert checked["largest"] <= 64 + ingest._SHARED_WIDTH + 1 and checked["full"] == 1
         for trace in (first, second):
             assert len({id(step) for step in trace.steps[-2000:-1000]}) == 1
             assert len({id(step) for step in trace.steps[-1000:]}) == 1
-        # Past the cap too (the exact path's memo of 4 starts over), a run is one object.
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
         (third,) = parse_traces(jsonl({"id": "c", "steps": list(range(300, 340)) + runs}))
         assert len({id(step) for step in third.steps[40:1040]}) == 1
         assert len({id(step) for step in third.steps[1040:]}) == 1
 
-    def test_the_exact_paths_memo_is_bounded_and_starts_over(self, monkeypatch, checked):
-        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
-        (trace,) = parse_traces(jsonl({"id": "a", "steps": [300, 301, 302, 300, 300]}))
-        # 300 and 301 fill the decoder's memo, so the line takes the exact path. There each
-        # id takes two entries: 302 finds that memo full, and it forgets 300 and 301.
-        assert checked["steps"] == [("decoded", (300,)), ("decoded", (301,))] + [
-            ("exact", (i,)) for i in (300, 301, 302, 300)
-        ]
-        assert trace.steps[3] == trace.steps[0] and trace.steps[3] is not trace.steps[0]
-        assert trace.steps[4] is trace.steps[3]
-
-    def test_after_a_few_good_lines_it_declined_the_stream_stops_decoding(
-        self, monkeypatch, checked
-    ):
-        monkeypatch.setattr(ingest, "_DECLINED", 2)
+    def test_an_ignored_number_no_step_may_hold_is_decoded(self, checked):
         lines = [
             '{"id": "a", "steps": [7]}',
-            '{"id": "b", "steps": [-1]}',  # a bad line: decoded twice, as always, and not counted
-            '{"id": "c", "at": 1.5, "steps": [5]}',  # a float: good, but declined
+            '{"id": "b", "steps": [-1]}',  # a bad line: the exact path words it
+            '{"id": "c", "at": 1.5, "steps": [5]}',
             '{"id": "d", "steps": [11]}',
-            '{"id": "e", "at": -2, "steps": [3]}',  # a negative int: the second good one
-            '{"id": "f", "steps": [13]}',
+            '{"id": "e", "at": -2, "steps": [3]}',
+            '{"id": "f", "at": [NaN, -Infinity, 1e2], "steps": [13]}',
         ]
         assert list(scan_traces(lines)) == _oracle_lines(lines, None)
         assert checked["steps"] == [
-            ("decoded", (7,)), ("exact", (-1,)), ("exact", (-1,)), ("exact", (5,)),
-            ("decoded", (11,)), ("exact", (3,)), ("exact", (13,)),
+            ("decoded", (7,)), ("exact", "b"), ("decoded", (5,)), ("decoded", (11,)),
+            ("decoded", (3,)), ("decoded", (13,)),
         ]
+
+    def test_integers_in_an_ignored_key_never_fill_the_memo(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 16)
+        lines = [f'{{"id": "t{n}", "ts": {1000 + n}, "steps": [7]}}' for n in range(40)]
+        traces = list(parse_traces(lines))
+        assert traces[-1].steps == ((7,),) and traces[-1].steps[0] is traces[0].steps[0]
 
     @pytest.mark.parametrize("with_catalog", [True, False])
     @pytest.mark.parametrize(
@@ -553,28 +554,43 @@ class TestStreamSharedSteps:
             assert parsed == expected and raised is None
 
     @pytest.mark.parametrize(
-        "record, reason",
+        "extra, shared, reason",
         [
-            ({"id": "true", "steps": [7, [5, 7]]}, None),
-            ({"id": "false and true", "steps": [7], "label": "malicious"}, None),
-            ({"id": "r2", "steps": [7], "note": "true"}, None),
-            ({"id": "r2", "steps": [7], "label": "true"},
+            ('"score": 1.5', True, None),
+            ('"score": NaN', True, None),
+            ('"at": -3', True, None),
+            ('"ts": 99', True, None),
+            ('"flag": true', True, None),
+            ('"note": "true", "x": [1, true]', True, None),
+            ('"id": "false and true"', True, None),
+            ('"x": [true]', False, None),
+            ('"x": [\n false ]', False, None),
+            ('"note": "[true]"', False, None),
+            ('"label": "true"', False,
              "line 2: trace 'r2': label must be one of ('malicious', 'benign') or null"),
-            ({"id": "r2", "steps": [[7, False]]},
+            ('"steps": [7, [ true ]]', False,
+             "line 2: trace 'r2': step 1 holds True, expected a non-negative integer behavior id"),
+            ('"steps": [[7, false]]', False,
              "line 2: trace 'r2': step 0 holds False, expected a non-negative integer behavior id"),
         ],
     )
-    def test_true_or_false_anywhere_on_a_line_takes_the_exact_path(self, catalog, record, reason):
-        lines = jsonl({"id": "r1", "steps": [7, 5, 1, [5, 7]]}, record)
+    def test_only_a_list_of_one_bool_keeps_a_good_line_off_the_decoder(
+        self, catalog, extra, shared, reason
+    ):
+        # Decoded, [true] would be (True,) == (1,), a shared step; any other spelling of a
+        # bool, and any number no step may hold, fails the step it is in or is ignored.
+        lines = [
+            '{"id": "r1", "steps": [7, 5, 1, [5, 7]]}',
+            f'{{"id": "r2", "steps": [7, [5, 7]], "label": null, {extra}}}',
+        ]
         first, second = scan_traces(lines, catalog)
-        if reason is None:
-            assert second == BehaviorTrace(record["id"], oracle_steps(
-                record["steps"], record["id"], 2, catalog.ids
-            ), record.get("label"))
-            # The exact path keeps its own memo: equal, but not the decoded line's object.
-            assert second.steps[0] == first.steps[0] and second.steps[0] is not first.steps[0]
-        else:
+        assert second == _oracle_lines(lines, catalog.ids)[1]
+        if reason is not None:
             assert second == RecordError(2, reason)
+        else:
+            # The exact path shares no step with another line: equal, but not the same object.
+            assert (second.steps[0] is first.steps[0]) is shared
+            assert (second.steps[1] is first.steps[3]) is shared
 
     def test_a_memo_that_overflows_mid_stream_matches_the_oracle(self, catalog, monkeypatch):
         monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
@@ -594,21 +610,27 @@ class TestStreamSharedSteps:
             assert all(after is step or after != step for step, after in zip(steps, steps[1:]))
         assert scanned[0].steps[3] is scanned[0].steps[0]
 
-    # Lines spelt as text, so numbers take every JSON form; 200 examples, about 1 s.
+    # Lines spelt as text, so numbers and spacing take every JSON form; 200 examples, about 1.5 s.
     @settings(max_examples=200, deadline=None)
     @given(
         records=st.lists(st.lists(st.one_of(_token, st.lists(_token, max_size=4)), max_size=8),
                          min_size=1, max_size=6),
-        extra=st.one_of(st.none(), _token),
+        extra=st.one_of(st.none(), _token, st.lists(_token, max_size=3)),
         with_catalog=st.booleans(),
+        data=st.data(),
     )
     def test_every_line_matches_json_loads_and_the_oracle(
-        self, catalog, records, extra, with_catalog
+        self, catalog, records, extra, with_catalog, data
     ):
+        def space():
+            return data.draw(_space)
+
         used = catalog if with_catalog else None
+        if isinstance(extra, list):
+            extra = _spell(extra, space)
         tail = "}" if extra is None else f', "x": {extra}}}'
         lines = [
-            f'{{"id": "r{n}", "steps": {_spell(steps)}{tail}'
+            f'{{"id": "r{n}", "steps": {_spell(steps, space)}{tail}'
             for n, steps in enumerate(records, start=1)
         ]
         expected = _oracle_lines(lines, used and used.ids)
