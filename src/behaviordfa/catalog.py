@@ -39,7 +39,8 @@ DEFAULT_ENTRIES: tuple[BehaviorSpec, ...] = (
     BehaviorSpec(11, "Send Data", 5),
 )
 
-# fingerprint() of the stock catalog, so that building with it never imports hashlib.
+# fingerprint() of the stock entries, so that a run with them never imports hashlib. Entries
+# hold only ints and strs (_check_spec), so equal entries always hash to this.
 _DEFAULT_FINGERPRINT = "fc897b951b9c5b9ddef4c80c3a3f43974d78288785bc3417285d68daab9eca0a"
 
 _ENTRY_KEYS = {"id", "name", "weight"}
@@ -112,16 +113,23 @@ class BehaviorCatalog:
         return spec.name
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical entry list; identifies the weight table."""
-        if self._fingerprint is None:
-            import hashlib  # only a fingerprint needs it; most runs never ask
+        """SHA-256 over the canonical entry list; identifies the weight table.
 
-            canon = json.dumps(
-                [{"id": s.id, "name": s.name, "weight": s.weight} for s in self.entries],
-                separators=(",", ":"),
-                ensure_ascii=True,
-            )
-            self._fingerprint = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        Stored for the stock entries, from default_catalog() or a file that
+        spells them, so only another catalog is hashed.
+        """
+        if self._fingerprint is None:
+            if self.entries == DEFAULT_ENTRIES:
+                self._fingerprint = _DEFAULT_FINGERPRINT
+            else:
+                import hashlib  # only another catalog needs it; most runs never ask
+
+                canon = json.dumps(
+                    [{"id": s.id, "name": s.name, "weight": s.weight} for s in self.entries],
+                    separators=(",", ":"),
+                    ensure_ascii=True,
+                )
+                self._fingerprint = hashlib.sha256(canon.encode("utf-8")).hexdigest()
         return self._fingerprint
 
     def to_json(self) -> bytes:
@@ -131,10 +139,8 @@ class BehaviorCatalog:
 
 
 def default_catalog() -> BehaviorCatalog:
-    """The stock catalog shipped with the package, its fingerprint already known."""
-    catalog = BehaviorCatalog(DEFAULT_ENTRIES)
-    catalog._fingerprint = _DEFAULT_FINGERPRINT
-    return catalog
+    """The stock catalog shipped with the package; its fingerprint is stored."""
+    return BehaviorCatalog(DEFAULT_ENTRIES)
 
 
 def load_catalog(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorCatalog:

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext, suppress
+from functools import partial
 
 from .catalog import BehaviorCatalog, default_catalog, load_catalog
 from .classify import BatchSummary, CsvReportWriter, JsonReportWriter, classify_stream
@@ -28,6 +29,11 @@ from .ingest import parse_traces, scan_traces
 
 
 class _Parser(argparse.ArgumentParser):
+    # Help is 78 columns wide, what argparse picks when there is no terminal, so it
+    # reads the same everywhere and no command imports shutil to measure one.
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
+
     # Usage problems are user errors: exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -37,9 +37,9 @@ The model file is 2-space-indented JSON, fixed byte for byte: serialize()
 writes it from bytes templates. deserialize() decodes the file to text,
 letting its bytes go, then has the JSON parser make each well-formed
 transition object a Transition as it goes, so neither the file nor the
-transitions are ever held twice; then it checks the fields and the trie
-shape. A rejected file's error is worded from a second, plain parse of
-the same text.
+transitions are ever held twice. The text goes when the parse returns,
+before the fields and the trie shape are checked. A rejected file's error
+is worded from a second, plain parse of the same source, read again.
 """
 
 from __future__ import annotations
@@ -463,21 +463,31 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     """Load a serialized model, verifying format and structural invariants.
 
     The model is decoded to text first, and the bytes read from a file go
-    before the parse, so the bytes and the text are never held together
-    with the parsed model. The JSON parser makes each well-formed
-    transition object a Transition (_transition_hook), so no parse tree
-    of the transitions is built to be copied. A rejected file is parsed
-    again from the same text without the hook, and its error worded from
-    that plain parse names its place, e.g. `finals[3]`, and shows a value
-    as the file spells it, key order included.
+    before the parse; the text goes when the parse returns, so it is never
+    held with the model while the model is checked. The JSON parser makes
+    each well-formed transition object a Transition (_transition_hook), so
+    no parse tree of the transitions is built to be copied. A rejected
+    model is parsed again without the hook, and its error worded from that
+    plain parse names its place, e.g. `finals[3]`, and shows a value as the
+    file spells it, key order included. For that parse a file is read again
+    from where it stood on entry, and bytes or text decoded again; a file
+    that cannot seek (a pipe) is read to text first, and its text is held.
     """
-    text = _read_text(source, ModelFormatError, "model")
-    doc = _read_json(text, ModelFormatError, "model", _transition_hook)
+    start = None
+    if hasattr(source, "read"):
+        seekable = getattr(source, "seekable", None)
+        if seekable is not None and seekable():
+            start = source.tell()
+        else:
+            source = _read_text(source, ModelFormatError, "model")
+    doc = _read_json(source, ModelFormatError, "model", _transition_hook)
     try:
         return _model(doc)
     except ModelFormatError:
         pass  # rejected: worded below from a plain parse, with no hooked error chained to it
-    return _model(_read_json(text, ModelFormatError, "model"))
+    if start is not None:
+        source.seek(start)
+    return _model(_read_json(source, ModelFormatError, "model"))
 
 
 def _model(doc) -> BehaviorDfa:

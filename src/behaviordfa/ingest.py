@@ -115,9 +115,10 @@ def _not_a_step(text):
 class _Memo(dict):
     """One stream's decoder and its checked steps, by an id's JSON text or an entry's tuple.
 
-    A text that misses gives its id's (id,), or _NOT_A_STEP, and stores nothing. An entry
-    that misses is checked and stored with the texts of its ids, or raises: _parse_record()
-    then takes the exact path."""
+    A text that misses gives its id's (id,), or _NOT_A_STEP; with a catalog, which bounds
+    them, an id's text is stored on its first miss, and without one it is stored only with
+    a step. An entry that misses is checked and stored with the texts of its ids, or raises:
+    _parse_record() then takes the exact path."""
 
     def __init__(self, known):
         self.known = known
@@ -126,9 +127,14 @@ class _Memo(dict):
         ).decode
 
     def __missing__(self, key):
-        if type(key) is str:  # stored once a step holds the id: numbers in ignored keys never are
+        if type(key) is str:
             b = int(key)
-            return (b,) if b >= 0 and (self.known is None or b in self.known) else _NOT_A_STEP
+            if self.known is None:  # unbounded: numbers in ignored keys must not fill the memo
+                return (b,) if b >= 0 else _NOT_A_STEP
+            if b not in self.known:  # a catalog holds no negative id
+                return _NOT_A_STEP
+            step = self[key] = self.setdefault(str(b), (b,))  # "-0" and "0" share one (0,)
+            return step
         if len(self) >= _SHARED_STEPS:  # full: the stream stops taking the decoder path
             self.decode = None
             raise KeyError(key)

@@ -54,6 +54,9 @@ class TestDefaultCatalog:
         expected = hashlib.sha256(canon.encode("utf-8")).hexdigest()
         assert default_catalog().fingerprint() == expected
         assert BehaviorCatalog(DEFAULT_ENTRIES).fingerprint() == expected
+        # A file that spells the stock catalog gets the stored fingerprint, in any entry order.
+        assert load_catalog(default_catalog().to_json()).fingerprint() == expected
+        assert BehaviorCatalog(reversed(DEFAULT_ENTRIES)).fingerprint() == expected
 
 
 class TestLoadCatalog:

@@ -787,48 +787,25 @@ class TestCliContract:
         assert proc.stdout == "False\n"
 
     def test_import_and_classify_leave_unused_modules_unloaded(self, tmp_path, model_file):
-        # -S: .pth files in site-packages may import some of these themselves.
+        # -S: .pth files in site-packages may import some of these themselves. A --catalog
+        # file that spells the stock catalog is not hashed, so OpenSSL is not loaded either.
         traces = write_jsonl(tmp_path / "traces.jsonl", [{"id": "a", "steps": [7, 5]}])
         report = tmp_path / "report.jsonl"
-        script = (
-            "import sys, behaviordfa.cli\n"
-            "unused = ['dataclasses', 'inspect', 'hashlib', 'tempfile', 'csv']\n"
-            "print([m for m in unused if m in sys.modules])\n"
-            "argv = ['--quiet', 'classify', '--model', sys.argv[1], '--traces', sys.argv[2],"
-            " '--out', sys.argv[3]]\n"
-            "code = behaviordfa.cli.main(argv)\n"
-            "print(code, 'hashlib' in sys.modules)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script, str(model_file), str(traces), str(report)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n0 False\n"
-        assert '"verdict": "partially_malign"' in report.read_text(encoding="utf-8")
-
-    def test_build_and_add_with_the_built_in_catalog_leave_hashlib_unloaded(
-        self, tmp_path, pattern_file
-    ):
-        # The stock catalog's fingerprint is stored; only another catalog is hashed.
-        # Writing the model names its temp file without tempfile.
-        more = write_jsonl(tmp_path / "more.jsonl", [{"id": "c", "steps": [7, 3, 3, 11]}])
         catalog = tmp_path / "catalog.json"
         catalog.write_bytes(default_catalog().to_json())
         script = (
             "import sys, behaviordfa.cli\n"
-            "patterns, more, model, catalog = sys.argv[1:]\n"
-            "main = behaviordfa.cli.main\n"
-            "loaded = lambda: ('hashlib' in sys.modules, 'tempfile' in sys.modules)\n"
-            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model]),"
-            " *loaded())\n"
-            "print(main(['--quiet', 'add', '--model', model, '--patterns', more]), *loaded())\n"
-            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model,"
-            " '--catalog', catalog]), *loaded())\n"
+            "model, traces, report, catalog = sys.argv[1:]\n"
+            "unused = ['dataclasses', 'inspect', 'hashlib', '_hashlib', 'tempfile', 'csv',"
+            " 'shutil']\n"
+            "loaded = lambda: [m for m in unused if m in sys.modules]\n"
+            "argv = ['--quiet', 'classify', '--model', model, '--traces', traces,"
+            " '--out', report]\n"
+            "print(loaded())\n"
+            "print(behaviordfa.cli.main(argv), loaded())\n"
+            "print(behaviordfa.cli.main(argv + ['--catalog', catalog]), loaded())\n"
         )
-        paths = (pattern_file, more, tmp_path / "model.json", catalog)
+        paths = (model_file, traces, report, catalog)
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script, *map(str, paths)],
             capture_output=True,
@@ -836,17 +813,77 @@ class TestCliContract:
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0 False False\n0 False False\n0 True False\n"
+        assert proc.stdout == "[]\n0 []\n0 []\n"
+        assert '"verdict": "partially_malign"' in report.read_text(encoding="utf-8")
+
+    def test_build_and_add_with_the_built_in_catalog_leave_hashlib_unloaded(
+        self, tmp_path, pattern_file
+    ):
+        # The stock catalog's fingerprint is stored, also for a file that spells it; only
+        # another catalog, here one weight apart, is hashed. Writing the model names its temp
+        # file without tempfile.
+        more = write_jsonl(tmp_path / "more.jsonl", [{"id": "c", "steps": [7, 3, 3, 11]}])
+        stock = tmp_path / "catalog.json"
+        stock.write_bytes(default_catalog().to_json())
+        other = tmp_path / "other.json"
+        entries = json.loads(stock.read_bytes())
+        entries[-1]["weight"] += 1
+        other.write_text(json.dumps(entries), encoding="utf-8")
+        script = (
+            "import sys, behaviordfa.cli\n"
+            "patterns, more, model, stock, other = sys.argv[1:]\n"
+            "main = behaviordfa.cli.main\n"
+            "loaded = lambda: ('hashlib' in sys.modules, 'tempfile' in sys.modules)\n"
+            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model]),"
+            " *loaded())\n"
+            "print(main(['--quiet', 'add', '--model', model, '--patterns', more]), *loaded())\n"
+            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model,"
+            " '--catalog', stock]), *loaded())\n"
+            "print(main(['--quiet', 'build', '--patterns', patterns, '--out', model,"
+            " '--catalog', other]), *loaded())\n"
+        )
+        paths = (pattern_file, more, tmp_path / "model.json", stock, other)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *map(str, paths)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False False\n0 False False\n0 False False\n0 True False\n"
 
 
-def _module_cli(*args, **kwargs):
-    """`python -m behaviordfa ARGS`, which goes through cli.run(), as a completed process."""
+def _module_cli(*args, env=None, **kwargs):
+    """`python -m behaviordfa ARGS`, which goes through cli.run(), as a completed process.
+
+    `env` is the environment to run it in, os.environ if not given."""
     return subprocess.run(
         [sys.executable, "-m", "behaviordfa", *map(str, args)],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(os.environ if env is None else env, PYTHONPATH=str(SRC)),
         **kwargs,
     )
+
+
+HELP = """\
+usage: behaviordfa [-h] [--quiet | --verbose]
+                   {build,add,classify,export-dot} ...
+
+Classify JavaScript behavior traces against a weighted automaton of known-
+malicious sequences.
+
+positional arguments:
+  {build,add,classify,export-dot}
+    build               build a model from malicious patterns
+    add                 add patterns to an existing model
+    classify            classify a trace file
+    export-dot          render a model as Graphviz DOT
+
+options:
+  -h, --help            show this help message and exit
+  --quiet               suppress summary output
+  --verbose             print internal-error tracebacks
+"""
 
 
 class TestProcessEntry:
@@ -884,6 +921,16 @@ class TestProcessEntry:
         proc = _module_cli("--help")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(b"usage: behaviordfa")
+
+    def test_help_has_a_fixed_width(self):
+        # 78 columns, what argparse takes when there is no terminal and COLUMNS is unset.
+        env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+        for columns in (None, "40", "200"):
+            if columns is not None:
+                env["COLUMNS"] = columns
+            proc = _module_cli("--help", env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.decode("utf-8") == HELP, columns
 
     def test_run_raises_the_collector_threshold_and_skips_teardown(self, tmp_path, model_file):
         # An atexit handler runs only if the interpreter tears itself down.

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import re
 import tracemalloc
+from contextlib import ExitStack
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,7 @@ from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec
 
 from helpers import PATTERN_A, PATTERN_B, make_trace
 from oracle import random_patterns
+from test_model_bytes import _patterns as model_bytes_patterns
 
 # The full expected transition table of the seed model, keyed by
 # (source state, behavior) -> (target state, weight).
@@ -888,10 +892,62 @@ class TestSerialization:
             deserialize(data[:40])
         assert hooked == [True]
 
-    def test_a_rejected_file_object_is_read_once(self, seed_dfa):
+    def test_a_rejected_file_object_is_read_again(self, seed_dfa):
         data = serialize(seed_dfa).replace(b'"states": 11', b'"states": "11"')
         with pytest.raises(ModelFormatError, match='^"states" must be an integer, got "11"$'):
             deserialize(io.BytesIO(data))
+
+    @pytest.mark.parametrize(
+        "kind", ["bytes", "str", "binary file", "text file", "no seekable()", "a pipe"]
+    )
+    def test_every_source_gives_the_model_and_the_same_placed_error(
+        self, seed_dfa, tmp_path, kind
+    ):
+        # A file is read from where it stands, here past a first line; it is read again from
+        # there for the error, or held as text first if it cannot seek.
+        def source(data):
+            if kind == "bytes":
+                return data
+            if kind == "str":
+                return data.decode("utf-8")
+            if kind == "no seekable()":  # an object that has read() and nothing else
+                return SimpleNamespace(read=io.BytesIO(data).read)
+            if kind == "a pipe":
+                read_end, write_end = os.pipe()
+                with open(write_end, "wb") as fh:  # a pipe buffer holds the small seed model
+                    fh.write(data)
+                return opened.enter_context(open(read_end, "rb"))
+            path = tmp_path / "model.json"
+            path.write_bytes(b"first line\n" + data)
+            fh = opened.enter_context(
+                open(path, "rb") if kind == "binary file" else open(path, encoding="utf-8")
+            )
+            fh.readline()
+            return fh
+
+        good = serialize(seed_dfa)
+        bad = good.replace(b'"states": 11', b'"states": "11"')
+        with ExitStack() as opened:
+            assert deserialize(source(good)) == seed_dfa
+            with pytest.raises(ModelFormatError) as raised:
+                deserialize(source(bad))
+        assert str(raised.value) == '"states" must be an integer, got "11"'
+
+    def test_the_text_goes_before_the_model_is_checked(self, tmp_path, catalog):
+        # The 300-pattern model of test_model_bytes.py. The load's peak is the hooked parse's
+        # (bytes and text, then text and model); holding the text while validate() and the
+        # model's tables ran read about 1.17 times that.
+        path = tmp_path / "model.json"
+        patterns = [make_trace(r["steps"], r["id"]) for r in model_bytes_patterns()]
+        path.write_bytes(serialize(build_dfa(patterns, catalog)))
+
+        def hooked_parse(fh):
+            return catalog_module._read_json(
+                fh, ModelFormatError, "model", dfa_module._transition_hook
+            )
+
+        parsed, loaded = _load_peak(path, hooked_parse), _load_peak(path, deserialize)
+        assert loaded <= 1.02 * parsed
 
     def test_long_bad_values_are_cut_short(self, seed_dfa):
         doc = json.loads(serialize(seed_dfa))
@@ -900,6 +956,24 @@ class TestSerialization:
             deserialize(json.dumps(doc))
         assert str(raised.value).startswith("finals[0] must be an integer, got [0, 1, 2")
         assert len(str(raised.value)) < 120
+
+
+def _load_peak(path, load):
+    """The traced memory that `load` of the open file at `path` peaks at, above its start."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = load(fh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert loaded
+    return peak
 
 
 class TestExportDot:

@@ -421,7 +421,7 @@ class TestStreamSharedSteps:
         """Each step the decoder checks, and the id of each line json.loads reads, in order.
 
         Also records the largest size the decoder's memo reached, and how often a miss
-        met it full. A miss on an id's text stores nothing and is not logged."""
+        met it full. A miss on an id's text is not logged."""
         log = {"steps": [], "largest": 0, "full": 0}
         missing = ingest._Memo.__missing__
 
@@ -444,7 +444,7 @@ class TestStreamSharedSteps:
         return log
 
     def test_a_full_memo_is_tried_once_and_runs_still_share(self, catalog, monkeypatch, checked):
-        monkeypatch.setattr(ingest, "_SHARED_STEPS", 8)
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 9)
         a, b, c, d = parse_traces(jsonl(
             {"id": "a", "steps": [7, 5, 7, [7], [5, 7], [5, 7]]},
             {"id": "b", "steps": [11, 11, 7, [11]]},
@@ -452,12 +452,13 @@ class TestStreamSharedSteps:
             {"id": "d", "steps": [7, 3]},
         ), catalog)
         # 7 and 5 take three entries each (text, (id,) and [id]'s key), [5, 7] one and 11
-        # three more; 3 finds the memo full, so c and every later line take the exact path.
+        # three more; 3's text is stored on its miss, then (3,) finds the memo full, so c and
+        # every later line take the exact path.
         assert checked["steps"] == [
             ("decoded", (7,)), ("decoded", (5,)), ("decoded", (5, 7)), ("decoded", (11,)),
             ("exact", "c"), ("exact", "d"),
         ]
-        assert checked["largest"] <= 8 + ingest._SHARED_WIDTH + 1  # then a miss raises
+        assert checked["largest"] <= 9 + ingest._SHARED_WIDTH + 1  # then a miss raises
         assert checked["full"] == 1  # once full, the stream stops trying the decoder
         assert a.steps[0] is a.steps[2] is a.steps[3] and a.steps[4] is a.steps[5]
         assert b.steps[0] is b.steps[1] is b.steps[3] and b.steps[2] is a.steps[0]
@@ -507,6 +508,26 @@ class TestStreamSharedSteps:
         lines = [f'{{"id": "t{n}", "ts": {1000 + n}, "steps": [7]}}' for n in range(40)]
         traces = list(parse_traces(lines))
         assert traces[-1].steps == ((7,),) and traces[-1].steps[0] is traces[0].steps[0]
+
+    @pytest.mark.parametrize("with_catalog", [True, False])
+    def test_with_a_catalog_each_id_text_misses_once(self, catalog, monkeypatch, with_catalog):
+        # A line is decoded before its steps are stored. With a catalog, which bounds them,
+        # an id's text is stored on its first miss; without one, only once a step holds it.
+        misses = []
+        missing = ingest._Memo.__missing__
+
+        def counted(memo, key):
+            if type(key) is str:
+                misses.append(key)
+            return missing(memo, key)
+
+        monkeypatch.setattr(ingest._Memo, "__missing__", counted)
+        lines = ['{"id": "a", "ts": 3, "steps": [7, 5, [5, 7], 7, 11, [11], 5, 3]}',
+                 '{"id": "b", "steps": [3, 7, [11, 5]]}']
+        a, b = parse_traces(lines, catalog if with_catalog else None)
+        assert a.steps[0] is a.steps[3] and a.steps[1] is a.steps[6] and b.steps[1] is a.steps[0]
+        assert misses == (["3", "7", "5", "11"] if with_catalog
+                          else ["3", "7", "5", "5", "7", "7", "11", "11", "5", "3"])
 
     @pytest.mark.parametrize("with_catalog", [True, False])
     @pytest.mark.parametrize(
@@ -593,9 +614,9 @@ class TestStreamSharedSteps:
             assert (second.steps[1] is first.steps[3]) is shared
 
     def test_a_memo_that_overflows_mid_stream_matches_the_oracle(self, catalog, monkeypatch):
-        monkeypatch.setattr(ingest, "_SHARED_STEPS", 4)
+        monkeypatch.setattr(ingest, "_SHARED_STEPS", 5)
         records = [
-            [7, 5, 7, [7]],  # 7 and 5 fill the memo past its 4 entries: decoded
+            [7, 5, 7, [7]],  # 7 and 5 fill the memo past its 5 entries: decoded
             [5, 7, 11, 11, [11, 7], [11, 7]],  # 11 finds it full: the exact path, from here on
             [7, [11, 7], 5, 99],
             [[7, 11], 7, 7, 3],
