@@ -23,6 +23,18 @@ PATTERN_A = [7, 5, 1, 1, 1, 1, 7, 7, 5, 1, 1, 1]
 PATTERN_B = [5, 1, 1, 1, 5, 1, 1, 1, 1]
 
 
+def hand_built(state_count, edges, finals, fingerprint="0" * 64, pattern_count=1) -> BehaviorDfa:
+    """A model from plain (source, behavior, target, weight) edges, sound or not.
+
+    Tests build every model by hand through here and write its file with
+    serialize(), so a change to BehaviorDfa's constructor edits this one place.
+    Nothing is checked: gate tests build the models that validate() flags.
+    """
+    return BehaviorDfa(
+        state_count, [Transition(*edge) for edge in edges], finals, fingerprint, pattern_count
+    )
+
+
 def make_trace(steps, trace_id="t0", label=None) -> BehaviorTrace:
     """Build a trace from a list of ints (singleton steps) and/or lists."""
     norm = tuple((s,) if isinstance(s, int) else tuple(s) for s in steps)
@@ -51,8 +63,8 @@ def weighted_classification(
     benign one is scored against no final.
     """
     weights = [w for w in (matched, denominator - matched) if w]
-    edges = [Transition(i, 7 + i, i + 1, w) for i, w in enumerate(weights)]
-    model = BehaviorDfa(len(edges) + 1, edges, {len(edges)}, "0" * 64, 1)
+    edges = [(i, 7 + i, i + 1, w) for i, w in enumerate(weights)]
+    model = hand_built(len(edges) + 1, edges, {len(edges)})
     end = 1 if matched else 0
     match = MatchResult(end, end, False, verdict is Verdict.MALIGN, model)
     final = None if verdict is Verdict.BENIGN else len(edges)

@@ -32,7 +32,7 @@ from behaviordfa.errors import (
     brief,
 )
 
-from helpers import make_trace
+from helpers import hand_built, make_trace
 
 
 def oracle_walk(dfa: BehaviorDfa, steps):
@@ -210,13 +210,8 @@ def oracle_grow(base: BehaviorDfa, patterns, catalog) -> BehaviorDfa:
                     transitions[loop_key] = Transition(nxt, behavior, nxt, transitions[key].weight)
             state = nxt
         finals.add(state)
-    return BehaviorDfa(
-        state_count=count,
-        transitions=tuple(transitions.values()),
-        finals=frozenset(finals),
-        catalog_fingerprint=base.catalog_fingerprint,
-        pattern_count=base.pattern_count + len(patterns),
-    )
+    pattern_count = base.pattern_count + len(patterns)
+    return hand_built(count, transitions.values(), finals, base.catalog_fingerprint, pattern_count)
 
 
 def oracle_steps(raw_steps, trace_id, line_no, known):
@@ -320,8 +315,8 @@ def oracle_deserialize(text: str) -> BehaviorDfa:
                 f"{sorted(_TRANSITION_FIELDS)}, got {_oracle_show(raw)}"
             )
         fields = [_oracle_int(raw[k], f'transition {position}: "{k}"') for k in _TRANSITION_FIELDS]
-        transitions.append(Transition(*fields))
-    dfa = BehaviorDfa(states, transitions, finals, fingerprint, pattern_count)
+        transitions.append(fields)
+    dfa = hand_built(states, transitions, finals, fingerprint, pattern_count)
     issues = validate(dfa)
     if issues:
         listing = "; ".join(f"{i.kind}: {i.detail}" for i in issues[:_LISTED_ISSUES])

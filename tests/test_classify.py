@@ -26,11 +26,11 @@ from behaviordfa.classify import (
     match_prefix,
     nearest_final,
 )
-from behaviordfa.dfa import BehaviorDfa, build_dfa, deserialize
+from behaviordfa.dfa import BehaviorDfa, build_dfa, deserialize, serialize
 from behaviordfa.errors import InternalInvariantError
 from behaviordfa.ingest import RecordError, parse_traces
 
-from helpers import PATTERN_A, PATTERN_B, classification_at, make_trace, run_batch
+from helpers import PATTERN_A, PATTERN_B, classification_at, hand_built, make_trace, run_batch
 from oracle import random_patterns, random_trace_steps
 
 # Any text, lone surrogates included: only a library-built trace can carry those.
@@ -306,10 +306,7 @@ class TestClassify:
 
     def test_an_initial_state_that_is_final_flags_every_trace_against_state_0(self):
         # State 0 may be final, so a result tells benign by a final_state of None.
-        dfa = deserialize(json.dumps({
-            "version": 1, "catalog_fingerprint": "0" * 64, "pattern_count": 1,
-            "states": 1, "finals": [0], "transitions": [],
-        }))
+        dfa = deserialize(serialize(hand_built(1, [], {0})))
         out = io.StringIO()
         writer = JsonReportWriter(out)
         for steps in ([], [7], [9, [11, 3]]):

@@ -16,10 +16,10 @@ import pytest
 from behaviordfa import cli
 from behaviordfa.catalog import default_catalog
 from behaviordfa.cli import main
-from behaviordfa.dfa import BehaviorDfa, Transition, deserialize, serialize
+from behaviordfa.dfa import deserialize, serialize
 from behaviordfa.errors import InternalInvariantError
 
-from helpers import PATTERN_A, PATTERN_B
+from helpers import PATTERN_A, PATTERN_B, hand_built
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -597,19 +597,8 @@ class TestClassify:
     def test_model_that_is_not_a_trie_is_a_user_error(self, tmp_path, capsys):
         # State 3 is entered from both 1 and 2. Unchecked, the walk [11, 1]
         # collects weight 7 against a denominator of 6 taken through state 2.
-        dag = BehaviorDfa(
-            state_count=5,
-            transitions=(
-                Transition(0, 1, 2, 2),
-                Transition(0, 11, 1, 5),
-                Transition(1, 1, 3, 2),
-                Transition(2, 1, 3, 2),
-                Transition(3, 1, 4, 2),
-            ),
-            finals=frozenset({4}),
-            catalog_fingerprint=default_catalog().fingerprint(),
-            pattern_count=1,
-        )
+        edges = [(0, 1, 2, 2), (0, 11, 1, 5), (1, 1, 3, 2), (2, 1, 3, 2), (3, 1, 4, 2)]
+        dag = hand_built(5, edges, {4}, default_catalog().fingerprint())
         model = tmp_path / "model.json"
         model.write_bytes(serialize(dag))
         traces = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "steps": [11, 1]}])

@@ -34,7 +34,7 @@ from behaviordfa import catalog as catalog_module
 from behaviordfa import dfa as dfa_module
 from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec
 
-from helpers import PATTERN_A, PATTERN_B, make_trace
+from helpers import PATTERN_A, PATTERN_B, hand_built, make_trace
 from oracle import random_patterns
 from test_model_bytes import _patterns as model_bytes_patterns
 
@@ -63,45 +63,40 @@ def table_of(dfa: BehaviorDfa):
     return {(t.source, t.behavior): (t.target, t.weight) for t in dfa.transitions}
 
 
-def unsound(state_count, edges, finals):
-    """A hand-built model: only the constructor makes one that validate() flags."""
-    return BehaviorDfa(state_count, [Transition(*t) for t in edges], finals, "0" * 64, 1)
-
-
 # Hand-built models that are no sound trie, each with the kinds of issue validate() finds.
 BACK_EDGE_MID_PATH = [(0, 7, 2, 3), (2, 5, 1, 3), (1, 3, 3, 3), (3, 1, 4, 2)]
 UNSOUND = {
-    "edge-leaving-the-model": (unsound(2, [(0, 1, 1, 2), (0, 2, 9, 1)], {1}), ["state-bounds"]),
+    "edge-leaving-the-model": (hand_built(2, [(0, 1, 1, 2), (0, 2, 9, 1)], {1}), ["state-bounds"]),
     "finals-outside-the-model": (
-        unsound(3, [(0, 7, 1, 3), (1, 5, 2, 3)], {-1, 2, 3}), ["state-bounds", "state-bounds"]
+        hand_built(3, [(0, 7, 1, 3), (1, 5, 2, 3)], {-1, 2, 3}), ["state-bounds", "state-bounds"]
     ),
     "back-edge-from-the-final": (
-        unsound(3, [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2)], {2}), ["not-a-trie"]
+        hand_built(3, [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2)], {2}), ["not-a-trie"]
     ),
     "back-edge-beside-a-forward-edge": (
-        unsound(4, [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2), (2, 11, 3, 5)], {3}),
+        hand_built(4, [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2), (2, 11, 3, 5)], {3}),
         ["not-a-trie"],
     ),
     "two-edges-on-one-behavior": (
-        unsound(3, [(0, 7, 2, 4), (0, 7, 1, 3)], {1, 2}), ["determinism"]
+        hand_built(3, [(0, 7, 2, 4), (0, 7, 1, 3)], {1, 2}), ["determinism"]
     ),
-    "no-final": (unsound(2, [(0, 7, 1, 3)], ()), ["no-finals", "no-final-ahead"]),
+    "no-final": (hand_built(2, [(0, 7, 1, 3)], ()), ["no-finals", "no-final-ahead"]),
     "final-entered-only-by-a-back-edge": (
-        unsound(3, [(0, 7, 2, 3), (2, 5, 1, 3)], {1}),
+        hand_built(3, [(0, 7, 2, 3), (2, 5, 1, 3)], {1}),
         ["not-a-trie", "unreachable-state", "unreachable-final", "no-final-ahead"],
     ),
     "back-edge-above-the-final": (
-        unsound(5, BACK_EDGE_MID_PATH, {4}),
+        hand_built(5, BACK_EDGE_MID_PATH, {4}),
         ["not-a-trie", "unreachable-state", "no-final-ahead"],
     ),
     "back-edge-into-the-final": (
-        unsound(5, BACK_EDGE_MID_PATH, {1}),
+        hand_built(5, BACK_EDGE_MID_PATH, {1}),
         ["not-a-trie", "unreachable-state", "unreachable-final", "no-final-ahead",
          "no-final-ahead"],
     ),
-    "zero-weight": (unsound(2, [(0, 7, 1, 0)], {1}), ["bad-weight"]),
+    "zero-weight": (hand_built(2, [(0, 7, 1, 0)], {1}), ["bad-weight"]),
     "self-loop-on-another-behavior": (
-        unsound(2, [(0, 7, 1, 3), (1, 5, 1, 3)], {1}), ["bad-self-loop"]
+        hand_built(2, [(0, 7, 1, 3), (1, 5, 1, 3)], {1}), ["bad-self-loop"]
     ),
 }
 
@@ -277,9 +272,7 @@ class TestAddPattern:
         self, catalog
     ):
         # State 1 is entered on 7 but loops on 5, which validate() flags before growing starts.
-        base = BehaviorDfa(
-            2, [Transition(0, 7, 1, 3), Transition(1, 5, 1, 3)], {1}, catalog.fingerprint(), 1
-        )
+        base = hand_built(2, [(0, 7, 1, 3), (1, 5, 1, 3)], {1}, catalog.fingerprint())
         with pytest.raises(ModelFormatError) as loading:
             deserialize(serialize(base))
         with pytest.raises(ModelFormatError) as raised:
@@ -290,7 +283,7 @@ class TestAddPattern:
     def test_a_run_loops_with_the_weight_of_its_entry_not_the_catalogs(self, catalog):
         # A model file may weight an edge apart from its catalog; the loop copies the edge,
         # so the grown model loads again.
-        base = BehaviorDfa(2, [Transition(0, 7, 1, 1)], {1}, catalog.fingerprint(), 1)
+        base = hand_built(2, [(0, 7, 1, 1)], {1}, catalog.fingerprint())
         grown = add_patterns(deserialize(serialize(base)), [make_trace([7, 7])], catalog)
         assert grown.transitions == (Transition(0, 7, 1, 1), Transition(1, 7, 1, 1))
         assert deserialize(serialize(grown)) == grown
@@ -302,7 +295,9 @@ class TestAddPattern:
         assert table_of(base) == before
 
     def test_lookup_indexes_are_built_on_first_use(self, catalog, seed_patterns):
-        grown = add_patterns(build_dfa(seed_patterns[:1], catalog), [seed_patterns[1]], catalog)
+        base = build_dfa(seed_patterns[:1], catalog)
+        grown = add_patterns(base, [seed_patterns[1]], catalog)
+        assert "_tables" not in vars(base)
         assert "_tables" not in vars(grown)
         assert grown._tables[0][0] == {7: (1, 3), 5: (7, 3)}
         assert "_tables" in vars(grown)
@@ -428,38 +423,20 @@ class TestValidate:
         assert validate(seed_dfa) == []
 
     def test_a_model_with_no_states_has_one_issue(self):
-        dfa = BehaviorDfa(0, (), frozenset(), "0" * 64, 0)
+        dfa = hand_built(0, [], (), pattern_count=0)
         assert [issue.kind for issue in validate(dfa)] == ["no-states"]
 
     def test_duplicate_transition_key_flagged(self):
-        dfa = BehaviorDfa(
-            state_count=3,
-            transitions=(
-                Transition(0, 7, 1, 3),
-                Transition(0, 7, 2, 3),
-                Transition(1, 5, 2, 3),
-            ),
-            finals=frozenset({2}),
-            catalog_fingerprint="0" * 64,
-            pattern_count=1,
-        )
+        dfa = hand_built(3, [(0, 7, 1, 3), (0, 7, 2, 3), (1, 5, 2, 3)], {2})
         kinds = {i.kind for i in validate(dfa)}
         assert "determinism" in kinds
 
     def test_duplicate_keys_apart_in_the_input_are_flagged(self, seed_dfa):
         # Four transitions lie between the two on (0, 7), and the later one comes first.
-        dfa = BehaviorDfa(
-            state_count=5,
-            transitions=(
-                Transition(0, 7, 4, 3),
-                Transition(1, 5, 2, 3),
-                Transition(0, 5, 3, 3),
-                Transition(2, 5, 2, 3),
-                Transition(1, 7, 1, 3),
-                Transition(0, 7, 1, 3),
-            ),
-            finals=frozenset({2, 3, 4}),
-            catalog_fingerprint="0" * 64,
+        dfa = hand_built(
+            5,
+            [(0, 7, 4, 3), (1, 5, 2, 3), (0, 5, 3, 3), (2, 5, 2, 3), (1, 7, 1, 3), (0, 7, 1, 3)],
+            {2, 3, 4},
             pattern_count=3,
         )
         (issue,) = validate(dfa)
@@ -492,24 +469,11 @@ class TestValidate:
         }
 
     def test_every_issue_is_listed_in_order(self):
-        dfa = BehaviorDfa(
-            state_count=9,
-            transitions=(
-                Transition(4, 7, 4, 3),
-                Transition(0, 7, 1, 3),
-                Transition(2, 1, 5, 0),
-                Transition(0, 5, 2, 3),
-                Transition(1, 1, 9, 2),
-                Transition(5, 7, 2, 3),
-                Transition(1, 5, 4, 3),
-                Transition(0, 7, 3, 3),
-                Transition(4, 1, 7, 2),
-                Transition(3, 1, 7, 2),
-            ),
-            finals=frozenset({5, 6, 7, 12}),
-            catalog_fingerprint="0" * 64,
-            pattern_count=3,
-        )
+        edges = [
+            (4, 7, 4, 3), (0, 7, 1, 3), (2, 1, 5, 0), (0, 5, 2, 3), (1, 1, 9, 2),
+            (5, 7, 2, 3), (1, 5, 4, 3), (0, 7, 3, 3), (4, 1, 7, 2), (3, 1, 7, 2),
+        ]
+        dfa = hand_built(9, edges, {5, 6, 7, 12}, pattern_count=3)
         expected = [
             ("determinism", "two transitions from state 0 on behavior 7"),
             ("state-bounds", "transition 1->9 on 1 references a state outside 0..8"),
@@ -536,94 +500,65 @@ class TestValidate:
         )
 
     def test_unreachable_final_flagged(self):
-        dfa = BehaviorDfa(
-            state_count=3,
-            transitions=(Transition(0, 7, 1, 3),),
-            finals=frozenset({1, 2}),
-            catalog_fingerprint="0" * 64,
-            pattern_count=1,
-        )
+        dfa = hand_built(3, [(0, 7, 1, 3)], {1, 2})
         kinds = {i.kind for i in validate(dfa)}
         assert "unreachable-final" in kinds
         assert "unreachable-state" in kinds
 
     def test_state_with_no_final_ahead_flagged(self):
-        dfa = BehaviorDfa(
-            state_count=3,
-            transitions=(Transition(0, 7, 1, 3), Transition(0, 5, 2, 3)),
-            finals=frozenset({1}),
-            catalog_fingerprint="0" * 64,
-            pattern_count=1,
-        )
+        dfa = hand_built(3, [(0, 7, 1, 3), (0, 5, 2, 3)], {1})
         issues = validate(dfa)
         assert any(i.kind == "no-final-ahead" and "state 2" in i.detail for i in issues)
 
     def test_out_of_range_states_flagged(self):
-        dfa = BehaviorDfa(
-            state_count=2,
-            transitions=(Transition(0, 7, 5, 3),),
-            finals=frozenset({9}),
-            catalog_fingerprint="0" * 64,
-            pattern_count=1,
-        )
+        dfa = hand_built(2, [(0, 7, 5, 3)], {9})
         kinds = [i.kind for i in validate(dfa)]
         assert kinds.count("state-bounds") == 2
 
     def test_non_positive_weight_flagged(self):
-        dfa = BehaviorDfa(
-            state_count=2,
-            transitions=(Transition(0, 7, 1, 0),),
-            finals=frozenset({1}),
-            catalog_fingerprint="0" * 64,
-            pattern_count=1,
-        )
+        dfa = hand_built(2, [(0, 7, 1, 0)], {1})
         assert any(i.kind == "bad-weight" for i in validate(dfa))
 
     @pytest.mark.parametrize(
         "transitions, finals, kind, detail",
         [
             pytest.param(
-                (
-                    Transition(0, 7, 1, 3),
-                    Transition(0, 5, 2, 3),
-                    Transition(1, 1, 3, 2),
-                    Transition(2, 1, 3, 2),
-                ),
+                [(0, 7, 1, 3), (0, 5, 2, 3), (1, 1, 3, 2), (2, 1, 3, 2)],
                 {3},
                 "not-a-trie",
                 "state 3 has 2 incoming",
                 id="two-forward-edges-into-one-state",
             ),
             pytest.param(
-                (Transition(0, 7, 1, 3), Transition(0, 5, 2, 3), Transition(2, 1, 1, 2)),
+                [(0, 7, 1, 3), (0, 5, 2, 3), (2, 1, 1, 2)],
                 {1, 2},
                 "not-a-trie",
                 "2->1",
                 id="forward-edge-to-a-lower-id",
             ),
             pytest.param(
-                (Transition(0, 7, 1, 3), Transition(1, 5, 2, 3), Transition(2, 1, 1, 2)),
+                [(0, 7, 1, 3), (1, 5, 2, 3), (2, 1, 1, 2)],
                 {2},
                 "not-a-trie",
                 "2->1",
                 id="forward-cycle",
             ),
             pytest.param(
-                (Transition(0, 7, 1, 3), Transition(1, 5, 1, 3)),
+                [(0, 7, 1, 3), (1, 5, 1, 3)],
                 {1},
                 "bad-self-loop",
                 "state 1 is behavior 5",
                 id="self-loop-on-another-behavior",
             ),
             pytest.param(
-                (Transition(0, 7, 1, 3), Transition(1, 7, 1, 4)),
+                [(0, 7, 1, 3), (1, 7, 1, 4)],
                 {1},
                 "bad-self-loop",
                 "weight 4",
                 id="self-loop-with-another-weight",
             ),
             pytest.param(
-                (Transition(0, 7, 0, 3), Transition(0, 5, 1, 3)),
+                [(0, 7, 0, 3), (0, 5, 1, 3)],
                 {1},
                 "bad-self-loop",
                 "initial state",
@@ -632,13 +567,7 @@ class TestValidate:
         ],
     )
     def test_shapes_other_than_a_trie_flagged(self, transitions, finals, kind, detail):
-        dfa = BehaviorDfa(
-            state_count=1 + max(t.target for t in transitions),
-            transitions=transitions,
-            finals=frozenset(finals),
-            catalog_fingerprint="0" * 64,
-            pattern_count=1,
-        )
+        dfa = hand_built(1 + max(target for _, _, target, _ in transitions), transitions, finals)
         (issue,) = validate(dfa)
         assert issue.kind == kind
         assert detail in issue.detail
@@ -1001,7 +930,7 @@ class TestExportDot:
     def test_unknown_behavior_gets_a_fallback_name(self):
         # Only a hand-built model carries an id its own catalog lacks.
         slim = BehaviorCatalog([BehaviorSpec(1, "Find DOM Element(s)", 2)])
-        dfa = BehaviorDfa(2, [Transition(0, 7, 1, 3)], {1}, slim.fingerprint(), 1)
+        dfa = hand_built(2, [(0, 7, 1, 3)], {1}, slim.fingerprint())
         dot = export_dot(dfa, slim)
         assert "behavior 7 (7, w=3)" in dot
 

@@ -189,6 +189,9 @@ class _Drawn:
 @example(base=[[7, 5]], data=_Drawn([[7, 7, 5]]))
 @example(base=[[7, 7, 5]], data=_Drawn([[7, 7, 7]]))
 @example(base=[[7]], data=_Drawn([[5, 5, 5, 7]]))
+# Patterns are checked in order: the first one's unknown behavior wins over
+# the second one's grouped step.
+@example(base=[[7]], data=_Drawn([[7, 999], [[5, 1]]]))
 def test_growing_a_model_matches_the_reference(catalog, base, data):
     if isinstance(base, tuple):  # a hand-shaped document, stamped with the catalog's fingerprint
         doc, paths = base

@@ -9,18 +9,10 @@ from hypothesis import strategies as st
 
 from behaviordfa.catalog import default_catalog
 from behaviordfa.classify import Verdict, classify, match_prefix, nearest_final
-from behaviordfa.dfa import (
-    BehaviorDfa,
-    Transition,
-    add_patterns,
-    build_dfa,
-    deserialize,
-    serialize,
-    validate,
-)
+from behaviordfa.dfa import add_patterns, build_dfa, deserialize, serialize, validate
 from behaviordfa.ingest import BehaviorTrace, parse_traces
 
-from helpers import make_trace
+from helpers import hand_built, make_trace
 from oracle import (
     oracle_classify,
     oracle_consumed,
@@ -135,14 +127,11 @@ def test_serialize_matches_the_reference_encoder(catalog, bodies, batches):
 @pytest.mark.parametrize(
     "dfa",
     [
-        pytest.param(BehaviorDfa(1, (), frozenset(), "0" * 64, 0), id="empty"),
+        pytest.param(hand_built(1, [], (), pattern_count=0), id="empty"),
+        pytest.param(hand_built(2, [(0, 7, 1, 3)], (), "f" * 64, 0), id="no-finals"),
+        pytest.param(hand_built(1, [], {0}, pattern_count=7), id="no-transitions"),
         pytest.param(
-            BehaviorDfa(2, (Transition(0, 7, 1, 3),), frozenset(), "f" * 64, 0), id="no-finals"
-        ),
-        pytest.param(BehaviorDfa(1, (), frozenset({0}), "0" * 64, 7), id="no-transitions"),
-        pytest.param(
-            BehaviorDfa(1, (), frozenset({0}), 'quote " slash \\ tab \t é \u2028', 1),
-            id="escaped-fingerprint",
+            hand_built(1, [], {0}, 'quote " slash \\ tab \t é \u2028'), id="escaped-fingerprint"
         ),
     ],
 )
@@ -230,17 +219,11 @@ run_steps = st.lists(
 # forward child on 7 instead of a self-loop: 0 -7-> 1 -7-> 2, which loops
 # on 7, then 2 -5-> 3, the final. A walk that skipped a step's repeats
 # after a forward edge would stay at state 1.
-FORWARD_ON_THE_ENTRY_BEHAVIOR = BehaviorDfa(
+FORWARD_ON_THE_ENTRY_BEHAVIOR = hand_built(
     4,
-    [
-        Transition(0, 7, 1, 3),
-        Transition(1, 7, 2, 3),
-        Transition(2, 7, 2, 3),
-        Transition(2, 5, 3, 3),
-    ],
+    [(0, 7, 1, 3), (1, 7, 2, 3), (2, 7, 2, 3), (2, 5, 3, 3)],
     {3},
     default_catalog().fingerprint(),
-    1,
 )
 
 
