@@ -367,8 +367,8 @@ class BatchSummary:
 
     @property
     def cross_table(self) -> dict[str, dict[Verdict, int]] | None:
-        """Label-versus-verdict counts; None when no input carried a label."""
-        return self._cross if self._any_label else None
+        """Label-versus-verdict counts, new rows each read; None when no input carried a label."""
+        return {key: dict(row) for key, row in self._cross.items()} if self._any_label else None
 
     def summary_line(self) -> str:
         counts = self.counts
@@ -395,7 +395,7 @@ class BatchSummary:
             "record_errors": self.record_errors,
             "histogram": {_pair_key(*pair): histogram[pair] for pair in order},
         }
-        if self.cross_table is not None:
+        if self._any_label:
             doc["label_cross_table"] = {
                 label: {v.value: row[v] for v in Verdict}
                 for label, row in sorted(self._cross.items())

@@ -304,7 +304,6 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
                     continue
                 weight = weight_of(behavior)
                 if weight is None:
-                    check_pattern(pattern)  # a later step of several ids is named first
                     raise UnknownBehaviorError(
                         behavior, context=f"pattern {brief(pattern.trace_id)}"
                     )
@@ -319,8 +318,8 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
                 else:  # never a self-loop: a sound state loops only on `last`, which enters it
                     _, _, state, weight = existing  # a loop on `state` copies this weight
                 last = behavior
-        except (ValueError, TypeError):  # a step that does not unpack to one id, among others
-            check_pattern(pattern)  # raises the step's PatternError if that is the cause
+        except (ValueError, TypeError, UnknownBehaviorError):  # a bad step or id, among others
+            check_pattern(pattern)  # a step not of one id, even a later one, is named first
             raise
         finals.add(state)
     return BehaviorDfa(
@@ -355,7 +354,8 @@ def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
     state id, every state but the initial one entered by exactly one
     forward transition, self-loops only on such a state with the behavior
     and weight of that transition, and every leaf final. These make every
-    state reachable from the initial state with a final ahead of it.
+    state reachable from the initial state with a final ahead of it. The
+    header's pattern count and fingerprint are checked here, not on load.
     """
     issues: list[ValidationIssue] = []
 
@@ -366,6 +366,15 @@ def validate(dfa: BehaviorDfa) -> list[ValidationIssue]:
     if n < 1:
         flag("no-states", "model has no states (initial state missing)")
         return issues
+    m = len(dfa.transitions)
+    if n > m + 1:  # in a trie every state but 0 has its own incoming transition
+        flag("too-many-states", f"{n} states need at least {n - 1} transitions, got {m}")
+        return issues  # before any per-state list is built
+    if dfa.pattern_count < 0:
+        flag("bad-pattern-count", f"pattern count must be non-negative, got {dfa.pattern_count}")
+    fingerprint = dfa.catalog_fingerprint
+    if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(fingerprint):
+        flag("bad-fingerprint", "catalog fingerprint is corrupt (expected 64 hex digits)")
 
     entry: list = [None] * n  # a forward transition into each state
     indegree = [0] * n
@@ -507,15 +516,12 @@ def _model(doc) -> BehaviorDfa:
     if missing:
         raise ModelFormatError(f"missing model keys {sorted(missing)}")
 
-    fingerprint = doc["catalog_fingerprint"]
-    if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(fingerprint):
-        raise ModelFormatError("catalog fingerprint is corrupt (expected 64 hex digits)")
+    fingerprint = doc["catalog_fingerprint"]  # shapes only: validate() owns what values mean
+    if not isinstance(fingerprint, str):
+        shown = brief(fingerprint, json.JSONEncoder().iterencode)
+        raise ModelFormatError(f'"catalog_fingerprint" must be a string, got {shown}')
     states = _require_int(doc["states"], '"states"')
-    if states < 1:
-        raise ModelFormatError(f"state count must be positive, got {states}")
     pattern_count = _require_int(doc["pattern_count"], '"pattern_count"')
-    if pattern_count < 0:
-        raise ModelFormatError(f"pattern count must be non-negative, got {pattern_count}")
 
     raw_finals = doc["finals"]
     if not isinstance(raw_finals, list):
@@ -523,16 +529,10 @@ def _model(doc) -> BehaviorDfa:
     if set(map(type, raw_finals)) - {int}:
         for i, f in enumerate(raw_finals):  # names the first entry that is not an integer
             _require_int(f, f"finals[{i}]")
-    finals = frozenset(raw_finals)
 
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):
         raise ModelFormatError('"transitions" must be an array')
-    # In a trie every state but 0 has its own incoming transition.
-    if states > len(raw_transitions) + 1:
-        raise ModelFormatError(
-            f"{states} states need at least {states - 1} transitions, got {len(raw_transitions)}"
-        )
     # The hooked parse has made every well-formed entry a Transition; a plain one has not.
     if set(map(type, raw_transitions)) - {Transition}:
         raw_transitions = [_transition_hook(t) if type(t) is dict else t for t in raw_transitions]
@@ -543,7 +543,7 @@ def _model(doc) -> BehaviorDfa:
     dfa = BehaviorDfa(
         state_count=states,
         transitions=raw_transitions,
-        finals=finals,
+        finals=raw_finals,
         catalog_fingerprint=fingerprint,
         pattern_count=pattern_count,
     )

@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 
 from behaviordfa.dfa import (
-    _FINGERPRINT_RE,
     _LISTED_ISSUES,
     _MODEL_KEYS,
     _TRANSITION_FIELDS,
@@ -270,8 +269,9 @@ def oracle_deserialize(text: str) -> BehaviorDfa:
 
     It parses the whole document into dicts and lists, then decodes the
     transitions entry by entry, so a value is shown exactly as the parser
-    gave it. deserialize() must accept the same models and reject the
-    rest with the same error.
+    gave it. Like deserialize(), it checks only the document's JSON shape
+    and leaves what the values mean to validate(). deserialize() must
+    accept the same models and reject the rest with the same error.
     """
     try:
         doc = json.loads(text)
@@ -289,24 +289,18 @@ def oracle_deserialize(text: str) -> BehaviorDfa:
     if _MODEL_KEYS - set(doc):
         raise ModelFormatError(f"missing model keys {sorted(_MODEL_KEYS - set(doc))}")
     fingerprint = doc["catalog_fingerprint"]
-    if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(fingerprint):
-        raise ModelFormatError("catalog fingerprint is corrupt (expected 64 hex digits)")
+    if not isinstance(fingerprint, str):
+        raise ModelFormatError(
+            f'"catalog_fingerprint" must be a string, got {_oracle_show(fingerprint)}'
+        )
     states = _oracle_int(doc["states"], '"states"')
-    if states < 1:
-        raise ModelFormatError(f"state count must be positive, got {states}")
     pattern_count = _oracle_int(doc["pattern_count"], '"pattern_count"')
-    if pattern_count < 0:
-        raise ModelFormatError(f"pattern count must be non-negative, got {pattern_count}")
     if not isinstance(doc["finals"], list):
         raise ModelFormatError('"finals" must be an array')
     finals = [_oracle_int(f, f"finals[{i}]") for i, f in enumerate(doc["finals"])]
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):
         raise ModelFormatError('"transitions" must be an array')
-    if states > len(raw_transitions) + 1:
-        raise ModelFormatError(
-            f"{states} states need at least {states - 1} transitions, got {len(raw_transitions)}"
-        )
     transitions = []
     for position, raw in enumerate(raw_transitions):
         if type(raw) is not dict or raw.keys() != set(_TRANSITION_FIELDS):

@@ -479,6 +479,19 @@ class TestClassifyBatch:
         assert table["benign"][Verdict.PARTIALLY_MALIGN] == 1
         assert table["unlabeled"][Verdict.PARTIALLY_MALIGN] == 1
 
+    def test_cross_table_rows_are_new_on_each_read(self, seed_dfa):
+        _, summary = run_batch(seed_dfa, [make_trace([9], "a", label="benign")])
+        table = summary.cross_table
+        table["benign"][Verdict.BENIGN] += 5
+        table["other"] = dict(table["benign"])
+        assert summary.cross_table == {
+            "benign": {Verdict.MALIGN: 0, Verdict.PARTIALLY_MALIGN: 0, Verdict.BENIGN: 1}
+        }
+        assert summary.summary_line() == "malign:0 partial:0 benign:1"
+        assert summary.as_dict()["label_cross_table"] == {
+            "benign": {"malign": 0, "partially_malign": 0, "benign": 1}
+        }
+
     def test_stream_is_lazy(self, seed_dfa):
         def endless():
             i = 0

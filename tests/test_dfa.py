@@ -99,6 +99,24 @@ UNSOUND = {
         hand_built(2, [(0, 7, 1, 3), (1, 5, 1, 3)], {1}), ["bad-self-loop"]
     ),
 }
+# One-edge tries that differ only in a header field, each with the kinds validate() finds.
+HEADERS = {
+    **{
+        f"pattern-count-{count}": (
+            hand_built(2, [(0, 7, 1, 3)], {1}, pattern_count=count),
+            ["bad-pattern-count"] if count < 0 else [],
+        )
+        for count in (-1, 0, 5)
+    },
+    "fingerprint-64-hex": (hand_built(2, [(0, 7, 1, 3)], {1}, "0123456789abcdef" * 4), []),
+    "fingerprint-63-hex": (hand_built(2, [(0, 7, 1, 3)], {1}, "f" * 63), ["bad-fingerprint"]),
+    "fingerprint-upper-case": (
+        hand_built(2, [(0, 7, 1, 3)], {1}, "0123456789ABCDEF" * 4), ["bad-fingerprint"]
+    ),
+    "fingerprint-and-newline": (
+        hand_built(2, [(0, 7, 1, 3)], {1}, "0" * 64 + "\n"), ["bad-fingerprint"]
+    ),
+}
 
 
 class TestTransition:
@@ -500,10 +518,39 @@ class TestValidate:
         )
 
     def test_unreachable_final_flagged(self):
-        dfa = hand_built(3, [(0, 7, 1, 3)], {1, 2})
+        dfa = hand_built(3, [(0, 7, 1, 3), (1, 7, 1, 3)], {1, 2})
         kinds = {i.kind for i in validate(dfa)}
         assert "unreachable-final" in kinds
         assert "unreachable-state" in kinds
+
+    @pytest.mark.parametrize("states", [3, 100_000])
+    def test_a_model_short_of_transitions_has_one_issue_and_no_per_state_list(self, states):
+        dfa = hand_built(states, [(0, 7, 1, 3)], {1, 2})
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            issues = validate(dfa)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        detail = f"{states} states need at least {states - 1} transitions, got 1"
+        assert issues == [("too-many-states", detail)]
+        assert peak < 1_000_000  # a list of 100,000 states alone would be 800 kB
+
+    @pytest.mark.parametrize(
+        "dfa, kinds", [*UNSOUND.values(), *HEADERS.values()], ids=[*UNSOUND, *HEADERS]
+    )
+    def test_a_model_validates_exactly_when_its_file_loads_back(self, dfa, kinds):
+        assert [issue.kind for issue in validate(dfa)] == kinds
+        try:
+            loads_back = deserialize(serialize(dfa)) == dfa
+        except ModelFormatError:
+            loads_back = False
+        assert loads_back == (kinds == [])
 
     def test_state_with_no_final_ahead_flagged(self):
         dfa = hand_built(3, [(0, 7, 1, 3), (0, 5, 2, 3)], {1})
@@ -648,7 +695,10 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as raised:
             deserialize(json.dumps(doc))
         message = str(raised.value)
-        assert message == "100000 states need at least 99999 transitions, got 1"
+        assert message == (
+            "model violates structural invariants: "
+            "too-many-states: 100000 states need at least 99999 transitions, got 1"
+        )
         assert len(message) < 200
 
     def test_load_error_lists_the_first_ten_issues(self, seed_dfa):
@@ -738,7 +788,41 @@ class TestSerialization:
         doc["pattern_count"] = -1
         with pytest.raises(ModelFormatError) as raised:
             deserialize(json.dumps(doc))
-        assert str(raised.value) == "pattern count must be non-negative, got -1"
+        assert str(raised.value) == (
+            "model violates structural invariants: "
+            "bad-pattern-count: pattern count must be non-negative, got -1"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, issue",
+        [
+            ("states", 0, "no-states: model has no states (initial state missing)"),
+            ("states", 17, "too-many-states: 17 states need at least 16 transitions, got 15"),
+            ("pattern_count", -2, "bad-pattern-count: pattern count must be non-negative, got -2"),
+            (
+                "catalog_fingerprint",
+                "f" * 63,
+                "bad-fingerprint: catalog fingerprint is corrupt (expected 64 hex digits)",
+            ),
+        ],
+        ids=["no-states", "too-many-states", "bad-pattern-count", "bad-fingerprint"],
+    )
+    def test_a_header_value_is_refused_by_the_gate(self, seed_dfa, key, value, issue):
+        doc = json.loads(serialize(seed_dfa))
+        doc[key] = value
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == f"model violates structural invariants: {issue}"
+        doc["transitions"][3] = None  # a shape error is named before any value's meaning
+        with pytest.raises(ModelFormatError, match="^transition 3: expected an object"):
+            deserialize(json.dumps(doc))
+
+    def test_a_fingerprint_that_is_no_string_names_the_key(self, seed_dfa):
+        doc = json.loads(serialize(seed_dfa))
+        doc["catalog_fingerprint"] = 5
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == '"catalog_fingerprint" must be a string, got 5'
 
     def test_a_file_that_is_not_utf8_is_rejected(self, seed_dfa):
         with pytest.raises(ModelFormatError) as raised:
