@@ -38,7 +38,7 @@ writes it from bytes templates. deserialize() decodes the file to text,
 letting its bytes go, then has the JSON parser make each well-formed
 transition object a Transition as it goes, so neither the file nor the
 transitions are ever held twice. The text goes when the parse returns,
-before the fields and the trie shape are checked. A rejected file's error
+before the fields and the trie shape are checked. Only a JSON-shape error
 is worded from a second, plain parse of the same source, read again.
 """
 
@@ -49,7 +49,7 @@ import re
 from bisect import bisect_left
 from functools import cached_property
 from itertools import chain
-from typing import IO, Iterable, NamedTuple, NoReturn, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 from .catalog import BehaviorCatalog, _read_json, _read_text
 from .errors import (
@@ -293,7 +293,7 @@ def _grow(base: BehaviorDfa, patterns: list, catalog: BehaviorCatalog) -> Behavi
         if not steps or pattern.label == "benign":
             check_pattern(pattern)  # raises
         state = 0
-        last = None
+        last = object()  # equal to no id, so a first step is never a repeat
         try:
             for (behavior,) in steps:
                 if behavior == last:
@@ -475,12 +475,12 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
     before the parse; the text goes when the parse returns, so it is never
     held with the model while the model is checked. The JSON parser makes
     each well-formed transition object a Transition (_transition_hook), so
-    no parse tree of the transitions is built to be copied. A rejected
-    model is parsed again without the hook, and its error worded from that
-    plain parse names its place, e.g. `finals[3]`, and shows a value as the
-    file spells it, key order included. For that parse a file is read again
-    from where it stood on entry, and bytes or text decoded again; a file
-    that cannot seek (a pipe) is read to text first, and its text is held.
+    no parse tree of the transitions is built to be copied, and validate()
+    checks that model once. Only a JSON-shape error is worded from a second,
+    plain parse: it names its place, e.g. `finals[3]`, and shows a value as
+    the file spells it, key order included. For that parse a file is read
+    again from where it stood on entry, and bytes or text decoded again; a
+    file that cannot seek (a pipe) is read to text first, and its text is held.
     """
     start = None
     if hasattr(source, "read"):
@@ -491,16 +491,19 @@ def deserialize(source: Union[bytes, str, IO[bytes], IO[str]]) -> BehaviorDfa:
             source = _read_text(source, ModelFormatError, "model")
     doc = _read_json(source, ModelFormatError, "model", _transition_hook)
     try:
-        return _model(doc)
+        dfa = _model(doc)
     except ModelFormatError:
-        pass  # rejected: worded below from a plain parse, with no hooked error chained to it
-    if start is not None:
-        source.seek(start)
-    return _model(_read_json(source, ModelFormatError, "model"))
+        dfa = None  # a shape error: worded below from a plain parse, with no hooked error chained
+    if dfa is None:
+        if start is not None:
+            source.seek(start)
+        dfa = _model(_read_json(source, ModelFormatError, "model"))  # raises, as the hooked one did
+    _refuse_unsound(dfa)
+    return dfa
 
 
 def _model(doc) -> BehaviorDfa:
-    """The model that parsed document `doc` holds, with or without the parser's Transitions."""
+    """The model that hooked document `doc` holds; a plain one comes only to word a shape error."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
 
@@ -533,22 +536,19 @@ def _model(doc) -> BehaviorDfa:
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):
         raise ModelFormatError('"transitions" must be an array')
-    # The hooked parse has made every well-formed entry a Transition; a plain one has not.
+    # The hooked parse has made every well-formed entry a Transition; a plain one leaves dicts.
     if set(map(type, raw_transitions)) - {Transition}:
-        raw_transitions = [_transition_hook(t) if type(t) is dict else t for t in raw_transitions]
         for position, raw in enumerate(raw_transitions):
             if type(raw) is not Transition:
-                _reject_transition(position, raw)
+                _check_transition(position, raw)
 
-    dfa = BehaviorDfa(
+    return BehaviorDfa(
         state_count=states,
         transitions=raw_transitions,
         finals=raw_finals,
         catalog_fingerprint=fingerprint,
         pattern_count=pattern_count,
     )
-    _refuse_unsound(dfa)
-    return dfa
 
 
 def _refuse_unsound(dfa: BehaviorDfa) -> None:
@@ -583,15 +583,15 @@ def _require_int(value, where: str) -> int:
     return value
 
 
-def _reject_transition(position: int, raw) -> NoReturn:
-    """Raise the placed error for a transition entry that deserialize() rejected."""
-    if type(raw) is dict and raw.keys() == _TRANSITION_KEYS:
-        for key in _TRANSITION_FIELDS:  # names the first bad field
-            _require_int(raw[key], f'transition {position}: "{key}"')
-    raise ModelFormatError(
-        f"transition {position}: expected an object with keys "
-        f"{sorted(_TRANSITION_KEYS)}, got {brief(raw, json.JSONEncoder().iterencode)}"
-    )
+def _check_transition(position: int, raw) -> None:
+    """Raise the placed error unless transition entry `raw` is one _transition_hook() takes."""
+    if type(raw) is not dict or raw.keys() != _TRANSITION_KEYS:
+        raise ModelFormatError(
+            f"transition {position}: expected an object with keys "
+            f"{sorted(_TRANSITION_KEYS)}, got {brief(raw, json.JSONEncoder().iterencode)}"
+        )
+    for key in _TRANSITION_FIELDS:  # names the first bad field
+        _require_int(raw[key], f'transition {position}: "{key}"')
 
 
 def export_dot(dfa: BehaviorDfa, catalog: BehaviorCatalog) -> str:

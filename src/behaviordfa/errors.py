@@ -72,7 +72,7 @@ class UnknownBehaviorError(EngineError):
     def __init__(self, behavior_id: int, context: str | None = None):
         self.behavior_id = behavior_id
         suffix = f" ({context})" if context else ""
-        super().__init__(f"unknown behavior id {behavior_id}{suffix}")
+        super().__init__(f"unknown behavior id {brief(behavior_id)}{suffix}")
 
 
 class TraceFormatError(EngineError):

@@ -33,6 +33,7 @@ from behaviordfa.errors import (
 from behaviordfa import catalog as catalog_module
 from behaviordfa import dfa as dfa_module
 from behaviordfa.catalog import BehaviorCatalog, BehaviorSpec
+from behaviordfa.ingest import BehaviorTrace
 
 from helpers import PATTERN_A, PATTERN_B, hand_built, make_trace
 from oracle import random_patterns
@@ -224,6 +225,29 @@ class TestBuild:
         with pytest.raises(UnknownBehaviorError, match="99"):
             build_dfa([make_trace([99], "stray")], catalog)
 
+    @pytest.mark.parametrize(
+        "steps, error, message",
+        [
+            ([(None,)], UnknownBehaviorError, "unknown behavior id None (pattern 'odd')"),
+            ([("7",)], UnknownBehaviorError, "unknown behavior id '7' (pattern 'odd')"),
+            # Python's rule for a wrong type, so the type is pinned and not the text.
+            ([7, 5], TypeError, None),  # a step that is no tuple
+            ([([7],)], TypeError, None),  # an id that cannot be hashed
+        ],
+        ids=["None", "a string", "a step not a tuple", "an unhashable id"],
+    )
+    def test_a_library_built_pattern_of_other_types(
+        self, catalog, seed_dfa, steps, error, message
+    ):
+        pattern = BehaviorTrace("odd", steps)
+        for grow in (
+            lambda: build_dfa([pattern], catalog),
+            lambda: add_patterns(seed_dfa, [pattern], catalog),
+        ):
+            with pytest.raises(error) as raised:
+                grow()
+            assert message is None or str(raised.value) == message
+
     def test_state_numbering_follows_insertion_order(self, catalog):
         # Swapping pattern order renumbers the branches.
         forward = build_dfa([make_trace([7], "a"), make_trace([5], "b")], catalog)
@@ -363,6 +387,28 @@ class TestIndex:
         classify(built, trace)
         classify(built, trace)
         assert len(calls) == 2 and calls[1] is built
+
+    def test_a_refused_load_reads_parses_and_validates_its_file_once(self, seed_dfa, monkeypatch):
+        reads, parsed, validated = [], [], []
+        loads, original = json.loads, dfa_module.validate
+        monkeypatch.setattr(
+            catalog_module.json, "loads", lambda text, **kw: parsed.append(kw) or loads(text, **kw)
+        )
+        monkeypatch.setattr(
+            dfa_module, "validate", lambda dfa: validated.append(dfa) or original(dfa)
+        )
+
+        class Counted(io.BytesIO):
+            def read(self, *args):
+                reads.append(args)
+                return super().read(*args)
+
+        data = serialize(seed_dfa).replace(b'"weight": 3', b'"weight": 0', 1)
+        with pytest.raises(
+            ModelFormatError, match="^model violates structural invariants: bad-weight"
+        ):
+            deserialize(Counted(data))
+        assert (len(reads), len(parsed), len(validated)) == (1, 1, 1)
 
     def test_a_state_outside_the_model_has_no_path(self, catalog):
         dfa = build_dfa([make_trace([7, 5, 1, 3, 11])], catalog)
@@ -897,8 +943,12 @@ class TestSerialization:
         assert deserialize(data) == seed_dfa
         assert hooked == [True]
         hooked.clear()
-        with pytest.raises(ModelFormatError, match="bad-weight"):
+        with pytest.raises(ModelFormatError, match="bad-weight"):  # validate() refuses it
             deserialize(data.replace(b'"weight": 3', b'"weight": 0', 1))
+        assert hooked == [True]
+        hooked.clear()
+        with pytest.raises(ModelFormatError, match='^transition 0: "weight" must be an integer'):
+            deserialize(data.replace(b'"weight": 3', b'"weight": 3.0', 1))  # a JSON-shape error
         assert hooked == [True, False]
         hooked.clear()
         with pytest.raises(ModelFormatError, match="not valid JSON"):
